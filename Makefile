@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test vet check bench bench-smoke bench-shards chaos-smoke race-sweep race-shards serve-smoke live-smoke compose-smoke cluster-smoke figures report scf clean
+.PHONY: all test vet check bench bench-smoke bench-shards mem-smoke chaos-smoke race-sweep race-shards serve-smoke live-smoke compose-smoke cluster-smoke figures report scf clean
 
 all: vet test
 
@@ -52,6 +52,13 @@ bench-smoke:
 	cmp /tmp/fig9-p1.csv /tmp/fig9-s1.csv
 	cmp /tmp/fig9-s1.csv /tmp/fig9-s4.csv
 	@echo "intra-run shard determinism OK"
+
+# World-memory gate: one p=16384 Fig 9 world end to end, failing if the
+# test process's peak resident memory (VmHWM) exceeds 2 GB. Per-rank
+# state is O(σ + touched peers), so this stays a few hundred MB; a dense
+# per-peer layout needs more than 7 GB at this size.
+mem-smoke:
+	$(GO) test -count=1 -run '^TestBigWorld$$' -bigworld -v .
 
 # Chaos determinism gate: the scripted-fault profile run twice with the
 # same seed must emit byte-identical tables (same event count, same final

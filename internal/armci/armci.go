@@ -116,8 +116,8 @@ type Config struct {
 	// metrics, ARMCI op counts/latencies — into the given registry. Nil
 	// costs one pointer check per instrumentation point.
 	Obs *obs.Registry
-	// Pool, when non-nil, recycles host-side backing arrays (the kernel's
-	// event heap/ring, the region caches' bucket storage) across runs.
+	// Pool, when non-nil, recycles the kernel's event heap/ring arrays
+	// across runs.
 	// Simulated behavior is identical with or without it; only the
 	// process's allocation profile changes. A Pool must not be shared by
 	// concurrent runs — sweep workers each own one.
@@ -240,11 +240,13 @@ type World struct {
 	// serial context (window-boundary appliers, or inline on a
 	// single-queue kernel); the exchange buffers are written at disjoint
 	// rank indexes with barriers separating writes from remote reads.
+	// xchAlloc is the table the last Malloc exchange published.
 	barCount int
 	barMax   sim.Time
 	xchAddr  []mem.Addr
 	xchReg   []bool
 	xchF64   []float64
+	xchAlloc *Allocation
 }
 
 // NewWorld builds the machine and empty runtime slots, returning an error
@@ -308,16 +310,9 @@ func (w *World) Start(body func(th *sim.Thread, rt *Runtime)) {
 	tor := w.M.Net.Torus()
 	for rank := 0; rank < w.Cfg.Procs; rank++ {
 		rank := rank
-		// Region-cache buckets come off the pool's free list here, on
-		// the spawning goroutine: rank threads start concurrently on
-		// lane workers, and the pool is not safe to pop from inside
-		// them. Acquiring in rank order also keeps the recycled-array
-		// assignment deterministic (capacity-only, never simulated
-		// state, but determinism is cheap here).
-		buckets := w.Cfg.Pool.regionBuckets(w.Cfg.Procs)
 		ln := w.M.LaneFor(tor.NodeOf(rank))
 		t := w.K.SpawnOn(ln, fmt.Sprintf("rank-%04d", rank), func(th *sim.Thread) {
-			rt := newRuntime(w, th, rank, buckets)
+			rt := newRuntime(w, th, rank)
 			w.Runtimes[rank] = rt
 			rt.Barrier(th) // all clients exist before any traffic
 			body(th, rt)
@@ -329,8 +324,8 @@ func (w *World) Start(body func(th *sim.Thread, rt *Runtime)) {
 
 // Run builds a world, runs body on every rank, and drives the simulation
 // to completion. Invalid configurations return an error before any
-// simulation work happens. A configured Pool is consulted for recycled
-// backing arrays up front and harvested again after a clean completion.
+// simulation work happens. A configured Pool supplies the kernel's
+// recycled queue arrays and gets them back after a clean completion.
 func Run(cfg Config, body func(th *sim.Thread, rt *Runtime)) (*World, error) {
 	k := cfg.Pool.kernel()
 	w, err := NewWorld(k, cfg)
@@ -344,7 +339,7 @@ func Run(cfg Config, body func(th *sim.Thread, rt *Runtime)) (*World, error) {
 	if err != nil {
 		return w, err
 	}
-	w.recycle(w.Cfg.Pool)
+	cfg.Pool.putKernel(k)
 	return w, nil
 }
 
@@ -393,10 +388,28 @@ func (w *World) AggregateStatsSorted() []Stat {
 	return out
 }
 
-// rankState is per-target bookkeeping for fences.
-type rankState struct {
-	unflushedPuts int // RDMA puts not yet known remote-visible
-	unackedAMs    int // AM writes (fallback put, acc) awaiting ack
+// peerState is what a rank keeps about one peer it has written to, read
+// from, or found suspect. Peers it never touched have none, so a world's
+// per-peer memory grows with the communication clique ζ, not with p.
+type peerState struct {
+	unflushedPuts int      // RDMA puts not yet known remote-visible
+	unackedAMs    int      // AM writes (fallback put, acc) awaiting ack
+	tgt           uint8    // cs_tgt status (consistency.go)
+	mr            []uint8  // cs_mr status by allocation key
+	suspectUntil  sim.Time // chaos runs: RDMA path suspect until this time
+}
+
+// clean reports whether the state is indistinguishable from none at now.
+func (ps *peerState) clean(now sim.Time) bool {
+	if ps.unflushedPuts != 0 || ps.unackedAMs != 0 || ps.tgt != 0 || now < ps.suspectUntil {
+		return false
+	}
+	for _, s := range ps.mr {
+		if s != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Runtime is one rank's ARMCI runtime: the public API surface of this
@@ -413,7 +426,7 @@ type Runtime struct {
 	svcEps  map[int]pami.Endpoint // service endpoints (svc context)
 	regions *regionCache
 	cons    *consistency
-	ranks   []rankState
+	peers   map[int]*peerState // touched peers only
 	allocs  []*Allocation
 
 	pendSeq  int64
@@ -440,10 +453,9 @@ type Runtime struct {
 	trackID string // this rank's trace track id ("rank-NNNN")
 
 	// Recovery state, armed only on chaos runs (Config.Fault non-nil).
-	retry        *RetryPolicy   // resolved policy (never nil when faulty)
-	suspectUntil []sim.Time     // per-target rank: RDMA path suspect until this time
-	applied      map[amKey]bool // target-side write-AM dedup, lazily allocated
-	ftObs        *ftObs         // retry/timeout/recovery instrumentation
+	retry   *RetryPolicy   // resolved policy (never nil when faulty)
+	applied map[amKey]bool // target-side write-AM dedup, lazily allocated
+	ftObs   *ftObs         // retry/timeout/recovery instrumentation
 }
 
 // amKey identifies one write AM target-side for deduplication: the
@@ -454,7 +466,7 @@ type amKey struct {
 	id  int64
 }
 
-func newRuntime(w *World, th *sim.Thread, rank int, buckets [][]remoteRegion) *Runtime {
+func newRuntime(w *World, th *sim.Thread, rank int) *Runtime {
 	c := w.M.NewClient(th, rank)
 	c.MaxRegions = w.Cfg.MaxRegions
 	c.CreateContexts(th, w.Cfg.Contexts)
@@ -467,8 +479,8 @@ func newRuntime(w *World, th *sim.Thread, rank int, buckets [][]remoteRegion) *R
 		svcCtx:  c.Contexts[w.svcIdx],
 		eps:     make(map[int]pami.Endpoint),
 		svcEps:  make(map[int]pami.Endpoint),
-		regions: &regionCache{cap: w.Cfg.RegionCacheCap, byRank: buckets},
-		ranks:   make([]rankState, w.Cfg.Procs),
+		regions: newRegionCache(w.Cfg.RegionCacheCap, rank),
+		peers:   make(map[int]*peerState),
 		pend:    make(map[int64]*pendReq),
 		mutexes: make(map[int]*muState),
 		Stats:   sim.NewCounters(),
@@ -482,7 +494,6 @@ func newRuntime(w *World, th *sim.Thread, rank int, buckets [][]remoteRegion) *R
 		if rt.retry == nil {
 			rt.retry = DefaultRetryPolicy()
 		}
-		rt.suspectUntil = make([]sim.Time, w.Cfg.Procs)
 		rt.ftObs = newFtObs(c.Obs)
 	}
 	rt.installHandlers()
@@ -495,6 +506,36 @@ func newRuntime(w *World, th *sim.Thread, rank int, buckets [][]remoteRegion) *R
 		rt.progress.SetObsTrack(obs.TrackProgress)
 	}
 	return rt
+}
+
+// peer returns this rank's state for a peer, creating it on first touch.
+func (rt *Runtime) peer(rank int) *peerState {
+	ps := rt.peers[rank]
+	if ps == nil {
+		ps = &peerState{}
+		rt.peers[rank] = ps
+	}
+	return ps
+}
+
+// pendingWrites reports the RDMA puts and unacked AM writes outstanding
+// toward rank; both are zero for a peer this rank never touched.
+func (rt *Runtime) pendingWrites(rank int) (puts, ams int) {
+	if ps := rt.peers[rank]; ps != nil {
+		return ps.unflushedPuts, ps.unackedAMs
+	}
+	return 0, 0
+}
+
+// touchedPeers returns the ranks this rank holds peer state for, in
+// ascending order.
+func (rt *Runtime) touchedPeers() []int {
+	rs := make([]int, 0, len(rt.peers))
+	for r := range rt.peers {
+		rs = append(rs, r)
+	}
+	sort.Ints(rs)
+	return rs
 }
 
 // Procs returns the job size.

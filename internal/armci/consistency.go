@@ -23,54 +23,48 @@ const (
 //     independent structures (the paper's dgemm example).
 //
 // Writes to memory outside any known allocation are tracked in the
-// per-target status in both modes (there is no region to key on).
+// per-target status in both modes (there is no region to key on). The
+// status lives in the peer's peerState, so only touched peers have any.
 type consistency struct {
 	rt   *Runtime
 	mode ConsistencyMode
-	tgt  []uint8   // per-rank status
-	mr   [][]uint8 // allocation id -> per-rank status (nil until first use)
 }
 
 func newConsistency(rt *Runtime, mode ConsistencyMode) *consistency {
-	return &consistency{
-		rt:   rt,
-		mode: mode,
-		tgt:  make([]uint8, rt.W.Cfg.Procs),
-	}
+	return &consistency{rt: rt, mode: mode}
 }
 
-// regionStatus returns the per-rank status vector for an allocation key.
-// Keys are the small dense integers Malloc assigns, so the table is a
-// slice: every Fence clears one rank's bit across all σ structures, and
-// ranging a slice — unlike a map, whose iteration pays a randomized
-// start per range — keeps that sweep off the profile.
-func (c *consistency) regionStatus(key int) []uint8 {
-	for key >= len(c.mr) {
-		c.mr = append(c.mr, nil)
+// regionStatus returns the peer's status for an allocation key. Keys are
+// the small dense integers Malloc assigns, so the table is a slice: every
+// Fence clears the peer's bits across all σ structures, and ranging a
+// slice — unlike a map, whose iteration pays a randomized start per
+// range — keeps that sweep off the profile.
+func (ps *peerState) regionStatus(key int) *uint8 {
+	for key >= len(ps.mr) {
+		ps.mr = append(ps.mr, 0)
 	}
-	if c.mr[key] == nil {
-		c.mr[key] = make([]uint8, c.rt.W.Cfg.Procs)
-	}
-	return c.mr[key]
+	return &ps.mr[key]
 }
 
 // noteWrite records an outstanding write (put or accumulate) to (rank,
 // structure key).
 func (c *consistency) noteWrite(rank, key int) {
+	ps := c.rt.peer(rank)
 	if c.mode == ConsistencyNaive || key < 0 {
-		c.tgt[rank] |= csWrite
+		ps.tgt |= csWrite
 		return
 	}
-	c.regionStatus(key)[rank] |= csWrite
+	*ps.regionStatus(key) |= csWrite
 }
 
 // noteRead records an outstanding read.
 func (c *consistency) noteRead(rank, key int) {
+	ps := c.rt.peer(rank)
 	if c.mode == ConsistencyNaive || key < 0 {
-		c.tgt[rank] |= csRead
+		ps.tgt |= csRead
 		return
 	}
-	c.regionStatus(key)[rank] |= csRead
+	*ps.regionStatus(key) |= csRead
 }
 
 // checkRead fences the target if the pending read conflicts with an
@@ -78,16 +72,20 @@ func (c *consistency) noteRead(rank, key int) {
 // naive scheme would have fenced but the per-region scheme did not — the
 // quantity the §III.E ablation reports.
 func (c *consistency) checkRead(th *sim.Thread, rank, key int) {
-	conflict := c.tgt[rank]&csWrite != 0
+	ps := c.rt.peers[rank]
+	if ps == nil {
+		return // nothing outstanding toward an untouched peer
+	}
+	conflict := ps.tgt&csWrite != 0
 	naiveWould := conflict
 	if c.mode == ConsistencyPerRegion {
-		if !conflict && key >= 0 && key < len(c.mr) && c.mr[key] != nil {
-			conflict = c.mr[key][rank]&csWrite != 0
+		if !conflict && key >= 0 && key < len(ps.mr) {
+			conflict = ps.mr[key]&csWrite != 0
 		}
 		if !naiveWould {
 			// Would naive mode have fenced? Any outstanding write to rank.
-			for _, s := range c.mr {
-				if s != nil && s[rank]&csWrite != 0 {
+			for _, s := range ps.mr {
+				if s&csWrite != 0 {
 					naiveWould = true
 					break
 				}
@@ -106,11 +104,9 @@ func (c *consistency) checkRead(th *sim.Thread, rank, key int) {
 
 // clearRank resets all status for a fenced target.
 func (c *consistency) clearRank(rank int) {
-	c.tgt[rank] = 0
-	for _, s := range c.mr {
-		if s != nil {
-			s[rank] = 0
-		}
+	if ps := c.rt.peers[rank]; ps != nil {
+		ps.tgt = 0
+		clear(ps.mr)
 	}
 }
 
@@ -123,7 +119,7 @@ func (rt *Runtime) Fence(th *sim.Thread, rank int) {
 		rt.fenceFT(th, rank)
 		return
 	}
-	pr := &rt.ranks[rank]
+	pr := rt.peer(rank)
 	if pr.unflushedPuts > 0 {
 		comp := sim.NewCompletion(rt.W.K)
 		rt.mainCtx.FlushRemote(th, rt.epData(th, rank), comp)
@@ -148,7 +144,7 @@ func (rt *Runtime) Fence(th *sim.Thread, rank int) {
 // that mix legacy Nb* writes with fault injection, which is best-effort:
 // a lost Nb write's ack never arrives and the fence panics.
 func (rt *Runtime) fenceFT(th *sim.Thread, rank int) {
-	pr := &rt.ranks[rank]
+	pr := rt.peer(rank)
 	if pr.unflushedPuts > 0 {
 		comp := sim.NewCompletion(rt.W.K)
 		err := rt.retryLoop(th, "fence.flush", rank, 0, comp, func(int) {
@@ -174,14 +170,23 @@ func (rt *Runtime) fenceFT(th *sim.Thread, rank int) {
 	rt.tr("fence", "fence", int64(rank))
 }
 
-// AllFence fences every target with outstanding writes (ARMCI_AllFence).
+// AllFence fences every target with outstanding writes (ARMCI_AllFence)
+// in ascending rank order and clears every other peer's conflict status.
+// It walks touched peers only, then forgets those left clean. While it
+// blocks in a fence only acks arrive, which never add peer state, so a
+// snapshot of the touched peers is the whole walk.
 func (rt *Runtime) AllFence(th *sim.Thread) {
-	for rank := range rt.ranks {
-		pr := &rt.ranks[rank]
-		if pr.unflushedPuts > 0 || pr.unackedAMs > 0 {
+	for _, rank := range rt.touchedPeers() {
+		if puts, ams := rt.pendingWrites(rank); puts > 0 || ams > 0 {
 			rt.Fence(th, rank)
 		} else {
 			rt.cons.clearRank(rank)
+		}
+	}
+	now := rt.C.Ln.Now()
+	for rank, ps := range rt.peers {
+		if ps.clean(now) {
+			delete(rt.peers, rank)
 		}
 	}
 	rt.Stats.Inc("allfence", 1)

@@ -6,8 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// poolWorkload is a small multi-rank job touching the region cache and
-// every queue path.
+// poolWorkload is a small multi-rank job touching every queue path.
 func poolWorkload(t *testing.T, cfg Config) (events uint64, final sim.Time) {
 	t.Helper()
 	w, err := Run(cfg, func(th *sim.Thread, rt *Runtime) {
@@ -32,28 +31,23 @@ func TestPoolRunsAreIdentical(t *testing.T) {
 	base := Config{Procs: 8, ProcsPerNode: 4, AsyncThread: true, Seed: 11}
 	e0, f0 := poolWorkload(t, base)
 
-	p := NewPool()
 	pooled := base
-	pooled.Pool = p
+	pooled.Pool = NewPool()
 	for i := 0; i < 3; i++ {
 		e, f := poolWorkload(t, pooled)
 		if e != e0 || f != f0 {
 			t.Fatalf("pooled run %d diverges: (%d,%d) vs (%d,%d)", i, e, f, e0, f0)
 		}
 	}
-	if len(p.buckets) == 0 {
-		t.Fatal("pool harvested no region-cache buckets")
-	}
 }
 
-func TestPoolBucketReuseAcrossSizes(t *testing.T) {
+// TestPoolKernelReuseAcrossSizes: a smaller world adopts the queue
+// arrays a bigger one left behind and still runs identically to a fresh
+// world of its size.
+func TestPoolKernelReuseAcrossSizes(t *testing.T) {
 	p := NewPool()
 	big := Config{Procs: 8, ProcsPerNode: 4, AsyncThread: true, Pool: p}
 	poolWorkload(t, big)
-	if len(p.buckets) != 8 {
-		t.Fatalf("expected 8 recycled bucket arrays, got %d", len(p.buckets))
-	}
-	// A smaller world reslices recycled arrays; a fresh big one refills.
 	small := big
 	small.Procs = 4
 	e, f := poolWorkload(t, small)
@@ -65,11 +59,9 @@ func TestPoolBucketReuseAcrossSizes(t *testing.T) {
 
 func TestPoolNilIsNoop(t *testing.T) {
 	var p *Pool
-	if k := p.kernel(); k == nil {
+	k := p.kernel()
+	if k == nil {
 		t.Fatal("nil pool must still build kernels")
 	}
-	if b := p.regionBuckets(4); len(b) != 4 {
-		t.Fatal("nil pool must still build buckets")
-	}
-	p.putRegionBuckets(make([][]remoteRegion, 2)) // no-op, no panic
+	p.putKernel(k) // no-op, no panic
 }

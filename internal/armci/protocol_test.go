@@ -1,6 +1,7 @@
 package armci
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -76,12 +77,12 @@ func TestFenceAckAccounting(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			rt.NbAcc(th, local, a.At(1), 1024, 1.0)
 		}
-		if rt.ranks[1].unackedAMs == 0 {
+		if _, ams := rt.pendingWrites(1); ams == 0 {
 			t.Error("no outstanding acks after NbAcc burst")
 		}
 		rt.Fence(th, 1)
-		if rt.ranks[1].unackedAMs != 0 {
-			t.Errorf("fence left %d unacked AMs", rt.ranks[1].unackedAMs)
+		if _, ams := rt.pendingWrites(1); ams != 0 {
+			t.Errorf("fence left %d unacked AMs", ams)
 		}
 	})
 	if err != nil {
@@ -89,6 +90,47 @@ func TestFenceAckAccounting(t *testing.T) {
 	}
 	if w.Runtimes[0].Stats.Get("fence.ack") == 0 {
 		t.Fatal("fence did not wait on acks")
+	}
+}
+
+// TestAllFenceWalksDirtyPeersOnly: AllFence fences exactly the k peers
+// with outstanding writes, and no rank keeps state for a peer it never
+// touched, before the fence or after it.
+func TestAllFenceWalksDirtyPeersOnly(t *testing.T) {
+	const procs = 16
+	dirty := []int{3, 9, 14}
+	w, err := Run(atCfg(procs), func(th *sim.Thread, rt *Runtime) {
+		a := rt.Malloc(th, 1024)
+		if rt.Rank == 0 {
+			local := rt.LocalAlloc(th, 64)
+			for _, r := range dirty {
+				rt.NbAcc(th, local, a.At(r), 64, 1.0)
+			}
+			if got := rt.touchedPeers(); !slices.Equal(got, dirty) {
+				t.Errorf("peer state for %v, want the written peers %v", got, dirty)
+			}
+			rt.AllFence(th)
+			if got := rt.Stats.Get("fence"); got != int64(len(dirty)) {
+				t.Errorf("AllFence fenced %d peers, want %d", got, len(dirty))
+			}
+			for _, r := range dirty {
+				if puts, ams := rt.pendingWrites(r); puts != 0 || ams != 0 {
+					t.Errorf("rank %d still has %d puts, %d AMs outstanding", r, puts, ams)
+				}
+			}
+			if got := rt.touchedPeers(); len(got) != 0 {
+				t.Errorf("AllFence left peer state for %v", got)
+			}
+		}
+		rt.Barrier(th)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rt := range w.Runtimes {
+		if got := rt.touchedPeers(); len(got) != 0 {
+			t.Errorf("rank %d holds peer state for %v after finalize", rt.Rank, got)
+		}
 	}
 }
 

@@ -166,7 +166,8 @@ func (f *ftObs) recovered(d sim.Time) {
 
 // rdmaSuspect reports whether rank's RDMA path is inside a suspect window.
 func (rt *Runtime) rdmaSuspect(rank int) bool {
-	return rt.suspectUntil != nil && rt.C.Ln.Now() < rt.suspectUntil[rank]
+	ps := rt.peers[rank]
+	return ps != nil && rt.C.Ln.Now() < ps.suspectUntil
 }
 
 // markSuspect degrades rank's RDMA path: cached region descriptors are
@@ -175,10 +176,10 @@ func (rt *Runtime) rdmaSuspect(rank int) bool {
 // route, or the target MU may be the casualty, and the AM path at least
 // re-resolves everything per attempt.
 func (rt *Runtime) markSuspect(rank int) {
-	if rt.suspectUntil == nil {
+	if !rt.faulty() {
 		return
 	}
-	rt.suspectUntil[rank] = rt.C.Ln.Now() + rt.retry.SuspectWindow
+	rt.peer(rank).suspectUntil = rt.C.Ln.Now() + rt.retry.SuspectWindow
 	rt.regions.purgeRank(rank)
 	rt.Stats.Inc("rdma.suspect", 1)
 	rt.ftObs.suspect()
