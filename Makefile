@@ -32,7 +32,8 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
 # CI gate for the engine: micro benches only; exits non-zero when a
-# zero-allocation invariant (kernel At/Run, network Send) regresses.
+# zero-allocation invariant (kernel At/Run, thread switch, network
+# Send) regresses.
 # The second block checks a figure sweep renders byte-identically whether
 # it runs serial or across 4 sweep workers; the third does the same for
 # intra-run lane workers (1 shard vs 4 shards). The legacy single-queue

@@ -556,11 +556,11 @@ func main() {
 	}
 
 	if *smoke {
-		// The zero-allocation invariant: scheduling and network sends must
-		// not allocate in steady state (small slack for the benchmark
-		// fixture's own setup amortized over b.N).
+		// The zero-allocation invariant: scheduling, thread switches and
+		// network sends must not allocate in steady state (small slack
+		// for the benchmark fixture's own setup amortized over b.N).
 		bad := false
-		for _, n := range []string{"kernel_events", "kernel_events_zero_delay", "network_send"} {
+		for _, n := range []string{"kernel_events", "kernel_events_zero_delay", "thread_switch", "network_send"} {
 			if r, ok := reps[n]; !ok || r.AllocsPerOp > 0.5 {
 				fmt.Fprintf(os.Stderr, "ALLOC REGRESSION: %s allocs/op = %.2f (want ~0)\n", n, reps[n].AllocsPerOp)
 				bad = true

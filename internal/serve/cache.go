@@ -19,6 +19,10 @@ type Cache struct {
 	ll        *list.List // front = most recently used
 	items     map[string]*list.Element
 	evictions int64
+
+	// onEvict, when set, is called with each key the LRU evicts, after
+	// the cache lock is released.
+	onEvict func(key string)
 }
 
 // cacheEntry carries the artifact plus the metadata the cluster export
@@ -79,7 +83,6 @@ func (c *Cache) Put(key string, body []byte, scenario, format string) {
 	sum := sha256.Sum256(body)
 	sha := hex.EncodeToString(sum[:])
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*cacheEntry)
 		c.used += int64(len(body)) - int64(len(e.body))
@@ -90,6 +93,7 @@ func (c *Cache) Put(key string, body []byte, scenario, format string) {
 			key: key, body: body, scenario: scenario, format: format, sha: sha})
 		c.used += int64(len(body))
 	}
+	var evicted []string
 	for c.used > c.budget {
 		back := c.ll.Back()
 		e := back.Value.(*cacheEntry)
@@ -97,7 +101,22 @@ func (c *Cache) Put(key string, body []byte, scenario, format string) {
 		delete(c.items, e.key)
 		c.used -= int64(len(e.body))
 		c.evictions++
+		if c.onEvict != nil {
+			evicted = append(evicted, e.key)
+		}
 	}
+	c.mu.Unlock()
+	for _, key := range evicted {
+		c.onEvict(key)
+	}
+}
+
+// contains reports whether key is cached, without marking it used.
+func (c *Cache) contains(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.items[key]
+	return ok
 }
 
 // Stats returns the entry count, payload bytes, and cumulative eviction

@@ -296,17 +296,40 @@ type runKeyInfo struct {
 
 // runRegistry holds the live and recently finished runs, bounded to cap
 // records (finished runs evict FIFO; live runs are never evicted).
+//
+// keys is bounded by what its readers can use: an id maps to its config
+// only while a run record or a result-cache entry holds the key. An
+// entry goes when its record is evicted and the key is not cached, or
+// when the cache evicts the key and no record holds it.
 type runRegistry struct {
 	mu    sync.Mutex
 	runs  map[string]*Run
 	order []*Run // admission order; exactly one entry per runs entry
 	keys  map[string]runKeyInfo
+	cache *Cache
 	cap   int
 	seq   uint64
 }
 
-func newRunRegistry(cap int) *runRegistry {
-	return &runRegistry{runs: make(map[string]*Run), keys: make(map[string]runKeyInfo), cap: cap}
+// newRunRegistry returns a registry bounded to cap records whose keys
+// follow cache; it installs itself as the cache's eviction hook.
+func newRunRegistry(cap int, cache *Cache) *runRegistry {
+	rr := &runRegistry{runs: make(map[string]*Run), keys: make(map[string]runKeyInfo),
+		cache: cache, cap: cap}
+	cache.onEvict = rr.cacheEvicted
+	return rr
+}
+
+// cacheEvicted drops the id mapping of a key the cache evicted, unless a
+// run record still holds the key or the key was cached again since.
+// Lock order is registry, then cache.
+func (rr *runRegistry) cacheEvicted(key string) {
+	id := runID(key)
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	if _, ok := rr.runs[id]; !ok && !rr.cache.contains(key) {
+		delete(rr.keys, id)
+	}
 }
 
 // begin returns the run record for key, creating it (state queued) if
@@ -364,6 +387,9 @@ func (rr *runRegistry) installLocked(run *Run) *Run {
 			if r.isFinished() {
 				rr.order = append(rr.order[:i], rr.order[i+1:]...)
 				delete(rr.runs, r.id)
+				if !rr.cache.contains(r.key) {
+					delete(rr.keys, r.id)
+				}
 				evicted = true
 				break
 			}

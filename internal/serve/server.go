@@ -226,7 +226,6 @@ func NewServer(opts Options) (*Server, error) {
 		opts:    opts,
 		cache:   NewCache(opts.CacheBytes),
 		flight:  newFlightGroup(),
-		runs:    newRunRegistry(opts.RunHistory),
 		engines: make(chan *sweep.Engine, opts.Workers),
 		queue:   make(chan struct{}, opts.QueueDepth),
 		scenSem: make(map[string]chan struct{}),
@@ -236,6 +235,7 @@ func NewServer(opts Options) (*Server, error) {
 		drainCh: make(chan struct{}),
 		started: time.Now(),
 	}
+	s.runs = newRunRegistry(opts.RunHistory, s.cache)
 	for i := 0; i < opts.Workers; i++ {
 		e := sweep.NewSharded(opts.SweepWorkers, opts.Shards, nil)
 		e.SetLaneGroup(opts.LaneGroup)

@@ -362,6 +362,31 @@ func TestRunEvictedButCached(t *testing.T) {
 	}
 }
 
+// TestRunKeysBounded: many more distinct cold runs than the registry
+// keeps leave id → config mappings only for what a run record or the
+// LRU still holds, instead of one per run ever admitted.
+func TestRunKeysBounded(t *testing.T) {
+	const history, jobs = 4, 64
+	// A micro artifact is about 40 bytes: the LRU holds a handful.
+	s, ts := newTestServer(t, Options{RunHistory: history, CacheBytes: 256})
+	for i := 0; i < jobs; i++ {
+		resp, _ := post(t, ts, fmt.Sprintf(`{"scenario":"micro","params":{"sizes":[%d],"iters":1}}`, 64+8*i))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("job %d: status %d", i, resp.StatusCode)
+		}
+	}
+	entries, _, evictions := s.cache.Stats()
+	if evictions == 0 {
+		t.Fatal("the cache never evicted; the bound is not exercised")
+	}
+	s.runs.mu.Lock()
+	keys := len(s.runs.keys)
+	s.runs.mu.Unlock()
+	if keys > history+entries {
+		t.Fatalf("%d id mappings after %d runs, want <= %d records + %d cached", keys, jobs, history, entries)
+	}
+}
+
 // TestDrainMidStream: an SSE client attached to a still-queued run gets
 // a terminal drain event and a clean close when the server drains.
 func TestDrainMidStream(t *testing.T) {

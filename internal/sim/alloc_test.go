@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The zero-allocation invariant (see queue.go): steady-state scheduling
 // must not allocate. These tests are the regression gate behind `make
@@ -66,9 +69,90 @@ func TestZeroDelayZeroAlloc(t *testing.T) {
 	}
 }
 
+// switchKernel builds a kernel whose threads each call body once: a
+// single-lane kernel with one thread, or (lanes) two lanes run by two
+// workers with one thread each, so lane windows execute in parallel and
+// a worker goroutine resumes a coroutine. body receives the thread and
+// whether it is the first one.
+func switchKernel(lanes bool, body func(th *Thread, first bool)) *Kernel {
+	k := NewKernel()
+	if !lanes {
+		k.Spawn("switcher", func(th *Thread) { body(th, true) })
+		return k
+	}
+	k.ConfigureLanes(2, 2, 100)
+	for i, ln := range k.Lanes() {
+		first := i == 0
+		k.SpawnOn(ln, fmt.Sprintf("switcher%d", i), func(th *Thread) { body(th, first) })
+	}
+	return k
+}
+
+// TestThreadSwitchZeroAlloc asserts that a kernel-thread-kernel round
+// trip (Sleep) allocates nothing in steady state, single-lane and on a
+// 2-worker lane kernel. The measurement runs inside the first thread, so
+// it spans the switches themselves plus the lane rounds between them.
+func TestThreadSwitchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const switches, runs = 512, 50
+	for _, lanes := range []bool{false, true} {
+		var avg float64
+		k := switchKernel(lanes, func(th *Thread, first bool) {
+			sleeps := func() {
+				for i := 0; i < switches; i++ {
+					th.Sleep(1)
+				}
+			}
+			if !first {
+				// Keep pace with the measuring thread: AllocsPerRun
+				// calls sleeps once to warm up, then runs times.
+				for i := 0; i <= runs; i++ {
+					sleeps()
+				}
+				return
+			}
+			avg = testing.AllocsPerRun(runs, sleeps)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if avg != 0 {
+			t.Fatalf("lanes=%v: %.2f allocs per %d thread switches, want 0", lanes, avg, switches)
+		}
+	}
+}
+
+// BenchmarkThreadSwitch measures one kernel -> thread -> kernel round
+// trip (a Sleep) on a single-lane kernel.
+func BenchmarkThreadSwitch(b *testing.B) {
+	benchSwitch(b, false)
+}
+
+// BenchmarkThreadSwitchLanes measures the same round trip on a 2-lane,
+// 2-worker kernel: one op is one Sleep on each lane, the two lanes'
+// windows running in parallel.
+func BenchmarkThreadSwitchLanes(b *testing.B) {
+	benchSwitch(b, true)
+}
+
+func benchSwitch(b *testing.B, lanes bool) {
+	b.ReportAllocs()
+	k := switchKernel(lanes, func(th *Thread, _ bool) {
+		for i := 0; i < b.N; i++ {
+			th.Sleep(1)
+		}
+	})
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // TestThreadSwitchConstantAlloc asserts the closure-free thread path:
 // allocations for a spawn-sleep-finish lifecycle are a fixed overhead
-// (thread struct, channels, goroutine) independent of how many sleeps —
+// (thread struct, coroutine) independent of how many sleeps —
 // i.e. kernel-thread transfers — the thread performs. Before the typed
 // thread-target events, every Sleep/Yield/Wake allocated a closure.
 func TestThreadSwitchConstantAlloc(t *testing.T) {

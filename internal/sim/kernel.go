@@ -63,7 +63,6 @@ type Kernel struct {
 func NewKernel() *Kernel {
 	k := &Kernel{}
 	k.Lane.k = k
-	k.Lane.yield = make(chan struct{})
 	k.Lane.winCap = timeInf
 	return k
 }
@@ -139,16 +138,28 @@ func (d *DeadlockError) Error() string {
 
 // Run executes events until the queue drains. It returns nil when every
 // spawned thread has finished, a DeadlockError when threads remain blocked
-// with nothing scheduled, or a ThreadPanic if a thread panicked.
+// with nothing scheduled, or a ThreadPanic if a thread panicked. On an
+// error every unfinished thread is released (see releaseThreads).
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("sim: Run called reentrantly")
 	}
 	k.running = true
 	defer func() { k.running = false }()
+	var err error
 	if k.multi {
-		return k.runLanes()
+		err = k.runLanes()
+	} else {
+		err = k.runSerial()
 	}
+	if err != nil {
+		k.releaseThreads()
+	}
+	return err
+}
+
+// runSerial is the single-lane event loop.
+func (k *Kernel) runSerial() error {
 	for k.ring.n > 0 || len(k.heap) > 0 {
 		// Merge the two queues on (at, seq). On equal timestamps the heap
 		// entry was scheduled first (see queue.go), so it wins ties.
@@ -189,17 +200,16 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// transfer hands control from the lane's scheduling goroutine to thread t
-// and blocks until t yields back. It must only be called from the lane's
-// event loop.
+// transfer resumes thread t's coroutine on the calling goroutine and
+// returns when t yields back or finishes. It must only be called from
+// the lane's event loop.
 func (ln *Lane) transfer(t *Thread) {
 	if t.state == stateDone {
 		return
 	}
 	t.state = stateRunning
 	ln.cur = t
-	t.resume <- struct{}{}
-	<-ln.yield
+	t.next()
 	ln.cur = nil
 	if t.panicked != nil && ln.failure == nil {
 		ln.failure = t.panicked

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -127,6 +129,70 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 	if len(d.Blocked) != 1 || !strings.Contains(d.Blocked[0], "stuck") {
 		t.Fatalf("blocked = %v", d.Blocked)
+	}
+}
+
+// TestFailedRunReleasesThreads checks that a Run ending in a
+// DeadlockError or a ThreadPanic leaves no thread suspended: every
+// unfinished thread's coroutine is unwound (running its defers) and its
+// goroutine exits, on a single-lane and on a 2-worker lane kernel. The
+// reported error is the one computed before the release.
+func TestFailedRunReleasesThreads(t *testing.T) {
+	const threads = 1000
+	for _, lanes := range []bool{false, true} {
+		for _, fail := range []string{"deadlock", "panic"} {
+			t.Run(fmt.Sprintf("lanes=%v/%s", lanes, fail), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				k := NewKernel()
+				spawn := k.Spawn
+				if lanes {
+					k.ConfigureLanes(2, 2, 10)
+					spawn = func(name string, fn func(*Thread)) *Thread {
+						return k.SpawnOn(k.Lanes()[len(name)%2], name, fn)
+					}
+				}
+				unwound := 0
+				for i := 0; i < threads; i++ {
+					spawn(fmt.Sprintf("w%d", i), func(th *Thread) {
+						defer func() { unwound++ }()
+						if i%3 == 0 {
+							// A defer that blocks again must not re-suspend
+							// a released thread.
+							defer th.Sleep(1)
+						}
+						th.Sleep(Time(i%7 + 1))
+						th.Park()
+					})
+				}
+				if fail == "panic" {
+					spawn("boom", func(th *Thread) {
+						th.Sleep(3)
+						panic("kaboom")
+					})
+				}
+				err := k.Run()
+				switch fail {
+				case "deadlock":
+					if d, ok := err.(*DeadlockError); !ok || len(d.Blocked) != threads {
+						t.Fatalf("want DeadlockError with %d blocked threads, got %v", threads, err)
+					}
+				case "panic":
+					if p, ok := err.(*ThreadPanic); !ok || p.Thread != "boom" {
+						t.Fatalf("want ThreadPanic from boom, got %v", err)
+					}
+				}
+				deadline := time.Now().Add(10 * time.Second)
+				for runtime.NumGoroutine() > base {
+					if time.Now().After(deadline) {
+						t.Fatalf("goroutines: %d after the failed Run, baseline %d", runtime.NumGoroutine(), base)
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if unwound != threads {
+					t.Fatalf("%d of %d released threads ran their defers", unwound, threads)
+				}
+			})
+		}
 	}
 }
 

@@ -156,7 +156,6 @@ type Lane struct {
 	seq     uint64
 	heap    eventHeap
 	ring    fifoRing
-	yield   chan struct{}
 	cur     *Thread
 	threads []*Thread
 	live    int
@@ -420,7 +419,7 @@ func (k *Kernel) ConfigureLanes(n, workers int, lookahead Time) {
 	k.laneGroup = 1
 	k.lanes = make([]*Lane, n)
 	for i := range k.lanes {
-		ln := &Lane{k: k, idx: i, yield: make(chan struct{}), winCap: timeInf}
+		ln := &Lane{k: k, idx: i, winCap: timeInf}
 		if sp := k.laneSpares; sp != nil && i < len(sp.heaps) {
 			if h := sp.heaps[i]; h != nil {
 				ln.heap = h[:0]

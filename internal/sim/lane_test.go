@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -115,6 +117,46 @@ func TestLanesDeadlock(t *testing.T) {
 	}
 	if len(de.Blocked) != 1 || de.Blocked[0] != "stuck(parked)" {
 		t.Fatalf("blocked = %v", de.Blocked)
+	}
+}
+
+// panicOnLane is a named frame for TestLanesThreadPanicSurfaces to find
+// in the reported stack.
+func panicOnLane(th *Thread) {
+	th.Sleep(5)
+	// Hold the window in host time so both workers claim a lane: the
+	// panicking coroutine is then resumed by a worker goroutine as well
+	// as by the coordinator.
+	time.Sleep(time.Millisecond)
+	panic(th.Name)
+}
+
+// TestLanesThreadPanicSurfaces: a thread panicking on a 2-worker lane
+// kernel, resumed by whichever goroutine ran its window, ends Run with a
+// ThreadPanic naming the thread and carrying the panicking frame.
+func TestLanesThreadPanicSurfaces(t *testing.T) {
+	k := NewKernel()
+	k.ConfigureLanes(2, 2, 10)
+	for i, ln := range k.Lanes() {
+		k.SpawnOn(ln, fmt.Sprintf("boom%d", i), panicOnLane)
+	}
+	done := make(chan error, 1)
+	go func() { done <- k.Run() }()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hung after a thread panic on a lane kernel")
+	}
+	p, ok := err.(*ThreadPanic)
+	if !ok {
+		t.Fatalf("want ThreadPanic, got %v", err)
+	}
+	if (p.Thread != "boom0" && p.Thread != "boom1") || fmt.Sprint(p.Value) != p.Thread {
+		t.Fatalf("panic = %+v", p)
+	}
+	if !strings.Contains(p.Stack, "sim.panicOnLane") {
+		t.Fatalf("stack lacks the panicking frame:\n%s", p.Stack)
 	}
 }
 

@@ -1,6 +1,9 @@
+//go:build go1.23
+
 package sim
 
 import (
+	"iter"
 	"runtime/debug"
 
 	"repro/internal/obs"
@@ -41,11 +44,20 @@ func (s threadState) String() string {
 // synchronization. A thread is pinned to one lane for its whole life:
 // all of its scheduling stays lane-local, and cross-lane interaction
 // must go through Lane.Defer.
+//
+// A thread is an iter.Pull coroutine: the lane's event loop resumes it
+// with next, and the thread hands control back by calling yield, so a
+// switch is a direct goroutine handoff with no channel and no trip
+// through the Go scheduler. A thread body must not call runtime.Goexit
+// (for example testing.T.FailNow): iter.Pull re-raises it in whichever
+// goroutine resumed the thread, a lane event loop or worker.
 type Thread struct {
 	k        *Kernel
 	ln       *Lane
 	Name     string
-	resume   chan struct{}
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
 	state    threadState
 	wakeBit  bool
 	panicked *ThreadPanic
@@ -69,21 +81,20 @@ func (k *Kernel) SpawnOn(ln *Lane, name string, fn func(*Thread)) *Thread {
 }
 
 func (k *Kernel) spawnOn(ln *Lane, name string, fn func(*Thread)) *Thread {
-	t := &Thread{k: k, ln: ln, Name: name, resume: make(chan struct{})}
-	ln.threads = append(ln.threads, t)
-	ln.live++
-	go func() {
-		<-t.resume
+	t := &Thread{k: k, ln: ln, Name: name}
+	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
+			if r := recover(); r != nil && r != (threadReleased{}) {
 				t.panicked = &ThreadPanic{Thread: t.Name, Value: r, Stack: string(debug.Stack())}
 			}
 			t.state = stateDone
 			t.ln.live--
-			t.ln.yield <- struct{}{}
 		}()
 		fn(t)
-	}()
+	})
+	ln.threads = append(ln.threads, t)
+	ln.live++
 	ln.scheduleThread(0, t)
 	// A spawn from outside any window (setup code, a coordinator event)
 	// may wake an idle lane; its horizon-tree leaf is stale until the
@@ -116,10 +127,34 @@ func (t *Thread) ObsTrack() obs.TrackKind { return t.track }
 // Now returns the current virtual time of the thread's lane.
 func (t *Thread) Now() Time { return t.ln.now }
 
+// threadReleased is the panic value that unwinds a thread released by
+// a failed Run; the coroutine wrapper swallows it.
+type threadReleased struct{}
+
 // switchOut yields to the lane's event loop and blocks until resumed.
+// yield returns false only when a failed Run released the thread.
 func (t *Thread) switchOut() {
-	t.ln.yield <- struct{}{}
-	<-t.resume
+	if !t.yield(struct{}{}) {
+		panic(threadReleased{})
+	}
+}
+
+// releaseThreads stops every unfinished thread after a failed Run, so
+// no coroutine stays suspended forever holding the whole world. A
+// suspended thread unwinds from its switchOut (running its defers); a
+// never-started one is discarded without running.
+func (k *Kernel) releaseThreads() {
+	release := func(ln *Lane) {
+		for _, t := range ln.threads {
+			if t.state != stateDone {
+				t.stop()
+			}
+		}
+	}
+	release(&k.Lane)
+	for _, ln := range k.lanes {
+		release(ln)
+	}
 }
 
 // Sleep advances this thread's virtual time by d. Other threads and events

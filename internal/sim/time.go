@@ -1,8 +1,9 @@
 // Package sim implements a deterministic, coroutine-style discrete-event
-// simulation kernel. Simulated threads are goroutines that run one at a
-// time under control of the kernel; virtual time only advances when every
-// thread is blocked. All scheduling is totally ordered by (time, sequence),
-// so a simulation with a fixed seed replays bit-identically.
+// simulation kernel. Simulated threads are iter.Pull coroutines that run
+// one at a time under control of the kernel; virtual time only advances
+// when every thread is blocked. All scheduling is totally ordered by
+// (time, sequence), so a simulation with a fixed seed replays
+// bit-identically.
 package sim
 
 import "fmt"
