@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test vet check bench bench-smoke bench-shards mem-smoke chaos-smoke race-sweep race-shards serve-smoke live-smoke compose-smoke cluster-smoke figures report scf clean
+.PHONY: all test vet check fuzz-smoke bench bench-smoke bench-shards mem-smoke chaos-smoke race-sweep race-shards serve-smoke live-smoke compose-smoke cluster-smoke figures report scf clean
 
 all: vet test
 
@@ -23,6 +23,12 @@ check:
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/fault/ ./...
 
+# Short fuzz gate: FuzzRegionCache (sparse region cache vs the dense
+# oracle) for 20 s, starting from the committed seed corpus in
+# internal/armci/testdata/fuzz/.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRegionCache$$' -fuzztime 20s ./internal/armci/
+
 # Engine wall-clock benchmarks (the cost of simulating): micro benches
 # plus the reduced Fig 9 p=4096 / SCF scenarios, written to
 # BENCH_sim.json — the committed baseline every perf PR is compared
@@ -37,11 +43,10 @@ bench:
 # The second block checks a figure sweep renders byte-identically whether
 # it runs serial or across 4 sweep workers; the third does the same for
 # intra-run lane workers (1 shard vs 4 shards). The legacy single-queue
-# engine (-shards -1) is deliberately NOT cmp'd here: it breaks
-# same-timestamp ties by global insertion order instead of the lane
-# engine's canonical order, which can shift a mean by ~0.01 us at some
-# scales — outcome-level equivalence is pinned by
-# TestLegacyEngineEquivalence instead.
+# engine (armci.Config.Shards -1) is a test reference with no CLI flag:
+# it breaks same-timestamp ties by global insertion order instead of the
+# lane engine's canonical order, which can shift a mean by ~0.01 us at
+# some scales, so TestLegacyEngineEquivalence pins it at outcome level.
 bench-smoke:
 	$(GO) run ./cmd/simbench -smoke -out ''
 	$(GO) run ./cmd/armci-bench -fig 9 -quick -csv -parallel 1 > /tmp/fig9-p1.csv
@@ -85,7 +90,8 @@ race-sweep:
 # the shard x lane-group invariance matrix, the serial-boundary oracle
 # equivalence, legacy-engine equivalence, and two sharded worlds running
 # concurrently — plus the sim package's own lane engine and horizon-tree
-# tests.
+# tests. Lane group and serial boundary are test-only armci.Config
+# fields; the tests set them through sweep.Ctx literals.
 race-shards:
 	$(GO) test -race -run 'TestShard|TestLegacyEngine|TestFig9LaneGroup|TestChaosLaneGroup|TestComposedLaneGroup|TestBoundaryOracle' .
 	$(GO) test -race -run 'TestLane|TestHorizon|TestPopUpTo|TestMarkDirty' ./internal/sim/

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/armci"
 	"repro/internal/bench"
+	"repro/internal/sweep"
 )
 
 var bigWorld = flag.Bool("bigworld", false, "run the p=16384 Fig 9 world and check its peak resident memory")
@@ -24,7 +26,7 @@ func TestBigWorld(t *testing.T) {
 	if !*bigWorld {
 		t.Skip("run with -bigworld")
 	}
-	lat := bench.Fig9PointSharded(16384, 16, true, false, 2, 2)
+	lat := bench.Fig9Point(&sweep.Ctx{Shards: 2, Pool: armci.NewPool()}, 16384, 16, true, false, 2)
 	if !(lat > 0) {
 		t.Fatalf("mean fetch-and-add latency %v us, want > 0", lat)
 	}

@@ -34,6 +34,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -51,32 +52,24 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"sweep worker count (1 = serial); output is byte-identical at any value")
 	shards := flag.Int("shards", 0,
-		"lane workers inside each simulation (0 = serial engine, -1 = legacy "+
-			"single-queue engine); output is byte-identical at any value")
-	laneGroup := flag.Int("lane-group", 0,
-		"lanes per worker dispatch chunk (0 = auto from nodes/shards); "+
+		"lane workers inside each simulation (0 = serial engine); "+
 			"output is byte-identical at any value")
-	serialBoundary := flag.Bool("serial-boundary", false,
-		"apply window-boundary deposits serially (the equivalence oracle); "+
-			"output is byte-identical either way")
 	flag.Parse()
-
-	bench.SetParallel(*parallel)
-	bench.SetShards(*shards)
-	bench.SetLaneGroup(*laneGroup)
-	bench.SetSerialBoundary(*serialBoundary)
+	if *shards < 0 {
+		fmt.Fprintln(os.Stderr, "armci-bench: -shards must be >= 0")
+		os.Exit(2)
+	}
 
 	// Ctrl-C stops scheduling new sweep points; partial grids are never
 	// rendered (the guard in render), and the process exits 130.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	bench.SetContext(ctx)
 
 	var reg *obs.Registry
 	if *tracePath != "" || *metricsPath != "" {
 		reg = obs.New()
-		bench.SetObs(reg)
 	}
+	eng := sweep.NewSharded(*parallel, *shards, reg)
 
 	sizes := bench.PowersOfTwo(4, 20) // 16 B .. 1 MB, the paper's range
 	iters := 20
@@ -103,7 +96,7 @@ func main() {
 	}
 
 	if *composePath != "" {
-		runCompose(ctx, *composePath, *csv)
+		runCompose(ctx, eng, *composePath, *csv)
 		writeObs(reg, *tracePath, *metricsPath)
 		return
 	}
@@ -113,7 +106,7 @@ func main() {
 		if *quick {
 			procs = []int{8, 16}
 		}
-		render(bench.Chaos(procs, 10, *chaosSeed))
+		render(bench.Chaos(ctx, eng, procs, 10, *chaosSeed))
 		writeObs(reg, *tracePath, *metricsPath)
 		return
 	}
@@ -121,59 +114,59 @@ func main() {
 	want := func(name string) bool { return *fig == "all" || *fig == name }
 
 	if want("3") {
-		render(bench.Fig3(sizes, iters))
+		render(bench.Fig3(ctx, eng, sizes, iters))
 	}
 	if want("4") {
-		render(bench.Fig4(sizes, 16))
+		render(bench.Fig4(ctx, eng, sizes, 16))
 	}
 	if want("5") {
-		render(bench.Fig5(sizes, iters))
+		render(bench.Fig5(ctx, eng, sizes, iters))
 	}
 	if want("6") {
-		render(bench.Fig6(sizes, 16))
+		render(bench.Fig6(ctx, eng, sizes, 16))
 	}
 	if want("7") {
-		render(bench.Fig7(fig7Procs, fig7PerNode, 4, fig7Stride))
+		render(bench.Fig7(ctx, eng, fig7Procs, fig7PerNode, 4, fig7Stride))
 	}
 	if want("8") {
-		render(bench.Fig8(bench.PowersOfTwo(8, 20), 1<<20))
+		render(bench.Fig8(ctx, eng, bench.PowersOfTwo(8, 20), 1<<20))
 	}
 	if want("9") {
-		render(bench.Fig9(fig9Procs, 10))
+		render(bench.Fig9(ctx, eng, fig9Procs, 10))
 	}
 	if want("eq") {
-		render(bench.EqValidation([]int{16, 256, 4096, 65536, 1 << 20}, iters))
+		render(bench.EqValidation(ctx, eng, []int{16, 256, 4096, 65536, 1 << 20}, iters))
 	}
 	if want("ctx") {
-		render(bench.AblationContexts(100))
+		render(bench.AblationContexts(ctx, eng, 100))
 	}
 	if want("cons") {
-		render(bench.AblationConsistency(100))
+		render(bench.AblationConsistency(ctx, eng, 100))
 	}
 	if want("strided") {
-		render(bench.AblationStridedProtocol(bench.PowersOfTwo(5, 17), 1<<20))
+		render(bench.AblationStridedProtocol(ctx, eng, bench.PowersOfTwo(5, 17), 1<<20))
 	}
 	if want("route") {
-		render(bench.AblationRouting(32, 64))
+		render(bench.AblationRouting(ctx, eng, 32, 64))
 	}
 	if want("hw") {
 		counts := []int{2, 8, 32, 128}
 		if !*quick {
 			counts = append(counts, 512)
 		}
-		render(bench.AblationHardwareAMO(counts, 10))
+		render(bench.AblationHardwareAMO(ctx, eng, counts, 10))
 	}
 
 	writeObs(reg, *tracePath, *metricsPath)
 }
 
-// runCompose parses a composition spec, runs it on the harness engine
-// (so -parallel/-shards/-trace apply), and renders the artifact. Both
+// runCompose parses a composition spec, runs it on eng (so
+// -parallel/-shards/-trace apply), and renders the artifact. Both
 // the bare spec and the POST /v1/compose request envelope
 // ({"compose": <spec>, ...}) are accepted, so a server request body
 // replays offline unchanged; the output is byte-identical to what a
 // simd server caches for the same spec.
-func runCompose(ctx context.Context, path string, csv bool) {
+func runCompose(ctx context.Context, eng *sweep.Engine, path string, csv bool) {
 	fatal := func(err error) {
 		fmt.Fprintf(os.Stderr, "armci-bench: compose: %v\n", err)
 		os.Exit(1)
@@ -201,8 +194,7 @@ func runCompose(ctx context.Context, path string, csv bool) {
 	if err != nil {
 		fatal(err)
 	}
-	runCtx, eng := bench.Harness()
-	res, err := scenario.Run(runCtx, eng, sp)
+	res, err := scenario.Run(ctx, eng, sp)
 	if err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "armci-bench: interrupted")

@@ -13,7 +13,7 @@
 // stream and renders each metric snapshot as it arrives — one line per
 // delivered sweep point, then the terminal result:
 //
-//	obs-report -follow http://127.0.0.1:8080/runs/<id>
+//	obs-report -follow http://127.0.0.1:8080/v1/runs/<id>
 //
 // With -serve, obs-report reads a simd /metrics endpoint (a URL, or a
 // saved Prometheus text file) and renders the serving-layer state: the
@@ -49,7 +49,7 @@ type metric struct {
 func main() {
 	path := flag.String("metrics", "results/metrics.txt", "metrics dump to read")
 	topN := flag.Int("top", 10, "how many hottest links to list")
-	followURL := flag.String("follow", "", "follow a live simd run instead: URL of /runs/<id>")
+	followURL := flag.String("follow", "", "follow a live simd run instead: URL of /v1/runs/<id>")
 	serveSrc := flag.String("serve", "", "render a simd /metrics exposition instead: URL or saved Prometheus text file")
 	flag.Parse()
 

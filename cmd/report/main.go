@@ -20,6 +20,7 @@ import (
 	"repro/internal/nwchem"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 type check struct {
@@ -35,120 +36,32 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"sweep worker count (1 = serial); output is byte-identical at any value")
 	shards := flag.Int("shards", 0,
-		"lane workers inside each simulation (0 = serial engine, -1 = legacy "+
-			"single-queue engine); output is byte-identical at any value")
-	laneGroup := flag.Int("lane-group", 0,
-		"lanes per worker dispatch chunk (0 = auto); byte-identical at any value")
+		"lane workers inside each simulation (0 = serial engine); "+
+			"output is byte-identical at any value")
 	flag.Parse()
-
-	bench.SetParallel(*parallel)
-	bench.SetShards(*shards)
-	bench.SetLaneGroup(*laneGroup)
+	if *shards < 0 {
+		fmt.Fprintln(os.Stderr, "report: -shards must be >= 0")
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	bench.SetContext(ctx)
 
 	var reg *obs.Registry
 	if *tracePath != "" || *metricsPath != "" {
 		reg = obs.New()
-		bench.SetObs(reg)
 	}
 
-	var checks []check
-	add := func(name, paper, measured string, pass bool) {
-		checks = append(checks, check{name, paper, measured, pass})
-	}
-
-	// --- Fig 3 ---
-	g := bench.Fig3([]int{16, 128, 256}, 10)
-	get, put := g.Column("get_us"), g.Column("put_us")
-	add("Fig 3: get latency 16 B", "2.89 us",
-		fmt.Sprintf("%.2f us", get[0]), get[0] > 2.7 && get[0] < 3.1)
-	add("Fig 3: put latency 16 B", "2.7 us",
-		fmt.Sprintf("%.2f us", put[0]), put[0] > 2.5 && put[0] < 2.9)
-	add("Fig 3: dip at 256 B", "present",
-		fmt.Sprintf("get(128)=%.2f > get(256)=%.2f", get[1], get[2]), get[1] > get[2])
-
-	// --- Fig 4/6 ---
-	g = bench.Fig4([]int{1024, 2048, 4096, 1 << 20}, 16)
-	bw := g.Column("put_MBs")
-	peak := network.DefaultParams().PeakPayloadBandwidth()
-	add("Fig 4: peak bandwidth", "1775 MB/s",
-		fmt.Sprintf("%.0f MB/s", bw[3]), bw[3] > 1700 && bw[3] < 1800)
-	add("Fig 6: N1/2", "2 KB",
-		fmt.Sprintf("bw(2KB)=%.2fx peak", bw[1]/peak),
-		bw[0]/peak < 0.5 && bw[2]/peak > 0.5)
-
-	// --- Fig 7 (reduced: 256 ranks) ---
-	g = bench.Fig7(256, 16, 3, 3)
-	lat, hops := g.Column("latency_us"), g.Column("hops")
-	perHop := hopSlope(hops, lat)
-	add("Fig 7: per-hop RTT delta", "70 ns (35/hop/dir)",
-		fmt.Sprintf("%.0f ns", perHop), perHop > 50 && perHop < 90)
-
-	// --- Fig 8 ---
-	g = bench.Fig8([]int{1024, 1 << 20}, 1<<20)
-	sg := g.Column("get_MBs")
-	add("Fig 8: strided tracks contiguous", "curve of Fig 4 at l0",
-		fmt.Sprintf("%.0f MB/s at 1KB chunks, %.0f at 1MB", sg[0], sg[1]),
-		sg[0] < 700 && sg[1] > 1700)
-
-	// --- Fig 9 ---
-	dIdle := bench.Fig9Point(16, false, false, 8)
-	atIdle := bench.Fig9Point(16, true, false, 8)
-	dComp := bench.Fig9Point(16, false, true, 8)
-	atComp := bench.Fig9Point(16, true, true, 8)
-	add("Fig 9: D ~ AT when idle", "comparable",
-		fmt.Sprintf("%.1f vs %.1f us", dIdle, atIdle), dIdle < 4*atIdle)
-	add("Fig 9: D collapses under compute", ">= t_compute/2",
-		fmt.Sprintf("%.0f us", dComp), dComp > 150)
-	add("Fig 9: AT immune to compute", "~AT idle",
-		fmt.Sprintf("%.1f us", atComp), atComp < 2*atIdle+5)
-
-	// --- Fig 11 (reduced: 32 ranks) ---
-	scfg := nwchem.Config{Mol: nwchem.NewMolecule([]int{8, 6, 6, 8, 6, 6}),
-		Iterations: 2, FlopRate: 2e7}
-	d := bench.SCFPoint(32, 16, false, scfg)
-	at := bench.SCFPoint(32, 16, true, scfg)
-	red := 100 * (1 - float64(at.WallTime)/float64(d.WallTime))
-	add("Fig 11: AT reduces SCF time", "up to 30% @4096",
-		fmt.Sprintf("%.0f%% @32 (counter %.1f -> %.1f ms)", red,
-			sim.ToMillis(d.CounterWait), sim.ToMillis(at.CounterWait)),
-		red > 5 && at.CounterWait < d.CounterWait)
-	add("Fig 11: energies bit-identical", "n/a (correctness)",
-		fmt.Sprintf("%v", d.Energy == at.Energy), d.Energy == at.Energy)
-
-	// --- Eq 7/8 ---
-	g = bench.EqValidation([]int{16, 65536}, 8)
-	ratio := g.Column("ratio")
-	add("Eq 7/8: fallback pays extra o", "additive, amortizing",
-		fmt.Sprintf("ratio %.2f @16B -> %.2f @64KB", ratio[0], ratio[1]),
-		ratio[0] > 1.05 && ratio[1] < ratio[0])
-
-	// --- ablations ---
-	g = bench.AblationConsistency(30)
-	fences := g.Column("fences")
-	add("SIII.E: cs_mr kills false fences", "fences -> ~0",
-		fmt.Sprintf("%.0f -> %.0f", fences[0], fences[1]), fences[1] < fences[0]/10)
-	g = bench.AblationContexts(30)
-	ctxLat := g.Column("main_get_us")
-	add("SIII.D: 2 contexts isolate main thread", "faster with rho=2",
-		fmt.Sprintf("%.1f -> %.1f us", ctxLat[0], ctxLat[1]), ctxLat[1] < ctxLat[0])
-	g = bench.AblationHardwareAMO([]int{8, 64}, 8)
-	sw, hw := g.Column("AT_software_us"), g.Column("hw_amo_us")
-	add("SIV.B.3: hardware AMOs flatten latency", "sublinear vs linear",
-		fmt.Sprintf("sw %.0f->%.0f us, hw %.0f->%.0f us", sw[0], sw[1], hw[0], hw[1]),
-		hw[1] < sw[1]/4)
-
-	// --- render ---
-	if ctx.Err() != nil {
-		// Interrupted sweeps leave zero-valued holes; the checks above
-		// would report nonsense, so say so and use the conventional
-		// SIGINT exit status instead.
+	checks, err := runChecks(ctx, sweep.NewSharded(*parallel, *shards, reg))
+	if err != nil {
+		// Interrupted sweeps leave nil grids and zero-valued holes; the
+		// checks would report nonsense, so say so and use the
+		// conventional SIGINT exit status instead.
 		fmt.Fprintln(os.Stderr, "report: interrupted")
 		os.Exit(130)
 	}
+
+	// --- render ---
 	fmt.Println("# Reproduction report (reduced scale)")
 	fmt.Println()
 	fmt.Println("| Check | Paper | Measured | Verdict |")
@@ -189,6 +102,130 @@ func main() {
 	if failures > 0 {
 		os.Exit(1)
 	}
+}
+
+// runChecks runs every reduced-scale experiment on eng and grades it
+// against the paper. It returns ctx.Err() as soon as a sweep comes back
+// cut, before any partial grid is read.
+func runChecks(ctx context.Context, eng *sweep.Engine) ([]check, error) {
+	var checks []check
+	add := func(name, paper, measured string, pass bool) {
+		checks = append(checks, check{name, paper, measured, pass})
+	}
+
+	// --- Fig 3 ---
+	g := bench.Fig3(ctx, eng, []int{16, 128, 256}, 10)
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	get, put := g.Column("get_us"), g.Column("put_us")
+	add("Fig 3: get latency 16 B", "2.89 us",
+		fmt.Sprintf("%.2f us", get[0]), get[0] > 2.7 && get[0] < 3.1)
+	add("Fig 3: put latency 16 B", "2.7 us",
+		fmt.Sprintf("%.2f us", put[0]), put[0] > 2.5 && put[0] < 2.9)
+	add("Fig 3: dip at 256 B", "present",
+		fmt.Sprintf("get(128)=%.2f > get(256)=%.2f", get[1], get[2]), get[1] > get[2])
+
+	// --- Fig 4/6 ---
+	g = bench.Fig4(ctx, eng, []int{1024, 2048, 4096, 1 << 20}, 16)
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	bw := g.Column("put_MBs")
+	peak := network.DefaultParams().PeakPayloadBandwidth()
+	add("Fig 4: peak bandwidth", "1775 MB/s",
+		fmt.Sprintf("%.0f MB/s", bw[3]), bw[3] > 1700 && bw[3] < 1800)
+	add("Fig 6: N1/2", "2 KB",
+		fmt.Sprintf("bw(2KB)=%.2fx peak", bw[1]/peak),
+		bw[0]/peak < 0.5 && bw[2]/peak > 0.5)
+
+	// --- Fig 7 (reduced: 256 ranks) ---
+	g = bench.Fig7(ctx, eng, 256, 16, 3, 3)
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	lat, hops := g.Column("latency_us"), g.Column("hops")
+	perHop := hopSlope(hops, lat)
+	add("Fig 7: per-hop RTT delta", "70 ns (35/hop/dir)",
+		fmt.Sprintf("%.0f ns", perHop), perHop > 50 && perHop < 90)
+
+	// --- Fig 8 ---
+	g = bench.Fig8(ctx, eng, []int{1024, 1 << 20}, 1<<20)
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	sg := g.Column("get_MBs")
+	add("Fig 8: strided tracks contiguous", "curve of Fig 4 at l0",
+		fmt.Sprintf("%.0f MB/s at 1KB chunks, %.0f at 1MB", sg[0], sg[1]),
+		sg[0] < 700 && sg[1] > 1700)
+
+	// --- Fig 9: {D, AT} x {idle, computing} at 16 ranks ---
+	f9 := sweep.MapCtx(eng, ctx, 4, func(c *sweep.Ctx, i int) float64 {
+		return bench.Fig9Point(c, 16, 16, i%2 == 1, i >= 2, 8)
+	})
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	dIdle, atIdle, dComp, atComp := f9[0], f9[1], f9[2], f9[3]
+	add("Fig 9: D ~ AT when idle", "comparable",
+		fmt.Sprintf("%.1f vs %.1f us", dIdle, atIdle), dIdle < 4*atIdle)
+	add("Fig 9: D collapses under compute", ">= t_compute/2",
+		fmt.Sprintf("%.0f us", dComp), dComp > 150)
+	add("Fig 9: AT immune to compute", "~AT idle",
+		fmt.Sprintf("%.1f us", atComp), atComp < 2*atIdle+5)
+
+	// --- Fig 11 (reduced: 32 ranks, D then AT) ---
+	scfg := nwchem.Config{Mol: nwchem.NewMolecule([]int{8, 6, 6, 8, 6, 6}),
+		Iterations: 2, FlopRate: 2e7}
+	f11 := sweep.MapCtx(eng, ctx, 2, func(c *sweep.Ctx, i int) nwchem.Result {
+		return bench.SCFPoint(c, 32, 16, i == 1, scfg)
+	})
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	d, at := f11[0], f11[1]
+	red := 100 * (1 - float64(at.WallTime)/float64(d.WallTime))
+	add("Fig 11: AT reduces SCF time", "up to 30% @4096",
+		fmt.Sprintf("%.0f%% @32 (counter %.1f -> %.1f ms)", red,
+			sim.ToMillis(d.CounterWait), sim.ToMillis(at.CounterWait)),
+		red > 5 && at.CounterWait < d.CounterWait)
+	add("Fig 11: energies bit-identical", "n/a (correctness)",
+		fmt.Sprintf("%v", d.Energy == at.Energy), d.Energy == at.Energy)
+
+	// --- Eq 7/8 ---
+	g = bench.EqValidation(ctx, eng, []int{16, 65536}, 8)
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	ratio := g.Column("ratio")
+	add("Eq 7/8: fallback pays extra o", "additive, amortizing",
+		fmt.Sprintf("ratio %.2f @16B -> %.2f @64KB", ratio[0], ratio[1]),
+		ratio[0] > 1.05 && ratio[1] < ratio[0])
+
+	// --- ablations ---
+	g = bench.AblationConsistency(ctx, eng, 30)
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	fences := g.Column("fences")
+	add("SIII.E: cs_mr kills false fences", "fences -> ~0",
+		fmt.Sprintf("%.0f -> %.0f", fences[0], fences[1]), fences[1] < fences[0]/10)
+	g = bench.AblationContexts(ctx, eng, 30)
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	ctxLat := g.Column("main_get_us")
+	add("SIII.D: 2 contexts isolate main thread", "faster with rho=2",
+		fmt.Sprintf("%.1f -> %.1f us", ctxLat[0], ctxLat[1]), ctxLat[1] < ctxLat[0])
+	g = bench.AblationHardwareAMO(ctx, eng, []int{8, 64}, 8)
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	sw, hw := g.Column("AT_software_us"), g.Column("hw_amo_us")
+	add("SIV.B.3: hardware AMOs flatten latency", "sublinear vs linear",
+		fmt.Sprintf("sw %.0f->%.0f us, hw %.0f->%.0f us", sw[0], sw[1], hw[0], hw[1]),
+		hw[1] < sw[1]/4)
+	return checks, nil
 }
 
 // hopSlope extracts the per-hop latency delta (ns) by comparing the min

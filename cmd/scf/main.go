@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/nwchem"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -32,11 +33,8 @@ func main() {
 		"sweep worker count (1 = serial); output is byte-identical at any value")
 	flag.Parse()
 
-	bench.SetParallel(*parallel)
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	bench.SetContext(ctx)
 
 	counts := []int{1024, 2048, 4096}
 	cfg := nwchem.DefaultConfig()
@@ -59,7 +57,7 @@ func main() {
 		}
 	}
 
-	g := bench.Fig11(counts, cfg)
+	g := bench.Fig11(ctx, sweep.New(*parallel, nil), counts, 16, cfg)
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "scf: interrupted")
 		os.Exit(130)

@@ -141,20 +141,21 @@ func scenario(name string, reps map[string]result, runs int, fn func()) {
 	reps[name] = finish(name, "scenario", float64(best.Nanoseconds()), allocs)
 }
 
-// sweepScenario times a whole benchmark sweep twice — serial
-// (bench.SetParallel(1)) and parallel (SetParallel(0), i.e. GOMAXPROCS
-// workers) — and records the parallel wall clock with the serial one as
-// its baseline, so speedup_vs_baseline is the measured parallel-sweep
-// speedup on this machine. Every rendering must produce identical CSV
-// bytes; any divergence is a determinism violation and exits 1.
-func sweepScenario(name string, reps map[string]result, runs int, render func() *bench.Grid) {
+// sweepScenario times a whole benchmark sweep twice — on a serial engine
+// (1 worker) and on a GOMAXPROCS-worker engine, both with the given
+// shard budget — and records the parallel wall clock with the serial
+// one as its baseline, so speedup_vs_baseline is the measured
+// parallel-sweep speedup on this machine. Every rendering must produce
+// identical CSV bytes; any divergence is a determinism violation and
+// exits 1.
+func sweepScenario(name string, reps map[string]result, runs, shards int, render func(eng *sweep.Engine) *bench.Grid) {
 	if skip(name) {
 		return
 	}
 	measure := func(workers int) (float64, float64, []byte) {
-		bench.SetParallel(workers)
+		eng := sweep.NewSharded(workers, shards, nil)
 		var buf bytes.Buffer
-		render().RenderCSV(&buf) // warm-up + reference bytes
+		render(eng).RenderCSV(&buf) // warm-up + reference bytes
 		ref := append([]byte(nil), buf.Bytes()...)
 		best := time.Duration(1<<63 - 1)
 		var allocs float64
@@ -163,7 +164,7 @@ func sweepScenario(name string, reps map[string]result, runs int, render func() 
 			runtime.GC()
 			runtime.ReadMemStats(&ms0)
 			t0 := time.Now()
-			g := render()
+			g := render(eng)
 			d := time.Since(t0)
 			runtime.ReadMemStats(&ms1)
 			buf.Reset()
@@ -200,8 +201,9 @@ func sweepScenario(name string, reps map[string]result, runs int, render func() 
 // measured intra-run scaling on this machine. The simulated latency must
 // be bit-identical at every shard count (shard count is an execution
 // knob, never a result knob); any divergence is a determinism violation
-// and exits 1. Shard counts here bypass the harness's core budget so the
-// rows measure the actual requested lane worker counts on any host.
+// and exits 1. Shard counts here bypass the engine's core budget so the
+// rows measure the actual requested lane worker counts on any host; one
+// pool serves every run, as one engine worker's would.
 // At this scale one run's heap is tens of GB, and allocator/page warmth
 // and GC pacing drift across successive runs would dwarf the effect
 // being measured if each config were timed in its own block — so after
@@ -213,8 +215,9 @@ func shardScaling(name string, reps map[string]result, runs, procs, opsEach int,
 		return
 	}
 	configs := append([]int{0}, shardCounts...)
+	pool := armci.NewPool()
 	run := func(shards int) float64 {
-		return bench.Fig9PointSharded(procs, 16, true, false, opsEach, shards)
+		return bench.Fig9Point(&sweep.Ctx{Shards: shards, Pool: pool}, procs, 16, true, false, opsEach)
 	}
 	ref := run(configs[0]) // warm-up round + reference value
 	for _, s := range configs[1:] {
@@ -276,14 +279,17 @@ func main() {
 	merge := flag.Bool("merge", false, "merge this run's rows into an existing -out file instead of replacing it (rows not re-run keep their old values); lets -only refresh a subset of BENCH_sim.json")
 	smoke := flag.Bool("smoke", false, "micro benches only; exit 1 on alloc regression")
 	onlyPat := flag.String("only", "", "run only benches matching this regexp")
-	shards := flag.Int("shards", 0, "lane workers inside each harness simulation (0 = serial lane engine, -1 = legacy single-queue engine); output is byte-identical at any value")
-	laneGroup := flag.Int("lane-group", 0, "lanes per worker dispatch chunk (0 = auto from nodes/shards); output is byte-identical at any value")
+	shards := flag.Int("shards", 0, "lane workers inside each scenario simulation (0 = serial lane engine); output is byte-identical at any value")
 	big := flag.Bool("big", false, "also run the p=65536 shard-scaling scenario (slow)")
 	gateShards := flag.Bool("gate-shards", false,
 		"exit 1 if any fig9 shardsN row is >10% slower than its serial baseline while GOMAXPROCS >= N (the bench-shards CI gate)")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the selected benches")
 	memProf := flag.String("memprofile", "", "write an allocation profile of the selected benches")
 	flag.Parse()
+	if *shards < 0 {
+		fmt.Fprintln(os.Stderr, "simbench: -shards must be >= 0")
+		os.Exit(2)
+	}
 	if *onlyPat != "" {
 		only = regexp.MustCompile(*onlyPat)
 	}
@@ -320,9 +326,6 @@ func main() {
 	// written.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	bench.SetContext(ctx)
-	bench.SetShards(*shards)
-	bench.SetLaneGroup(*laneGroup)
 	interrupted := func() {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "simbench: interrupted")
@@ -426,8 +429,11 @@ func main() {
 		// Fig 9 at paper scale: 4096 ranks hammering a rank-0 counter
 		// through the async progress thread (the wall-clock-bound case
 		// the paper's Fig 9 sweep regenerates).
+		eng := sweep.NewSharded(0, *shards, nil)
 		scenario("fig9_p4096", reps, 3, func() {
-			bench.Fig9Point(4096, true, false, 2)
+			sweep.MapCtx(eng, ctx, 1, func(c *sweep.Ctx, _ int) float64 {
+				return bench.Fig9Point(c, 4096, 16, true, false, 2)
+			})
 		})
 
 		// Reduced SCF: the Fig 11 proxy at 256 ranks, one iteration.
@@ -440,13 +446,12 @@ func main() {
 		// Parallel sweep engine: whole-table wall clock at GOMAXPROCS
 		// workers against the serial baseline, with CSV byte-identity
 		// enforced at both worker counts.
-		sweepScenario("sweep_fig9", reps, 2, func() *bench.Grid {
-			return bench.Fig9([]int{2, 16, 64, 256}, 8)
+		sweepScenario("sweep_fig9", reps, 2, *shards, func(eng *sweep.Engine) *bench.Grid {
+			return bench.Fig9(ctx, eng, []int{2, 16, 64, 256}, 8)
 		})
-		sweepScenario("sweep_chaos", reps, 2, func() *bench.Grid {
-			return bench.Chaos([]int{8, 16, 32}, 10, 42)
+		sweepScenario("sweep_chaos", reps, 2, *shards, func(eng *sweep.Engine) *bench.Grid {
+			return bench.Chaos(ctx, eng, []int{8, 16, 32}, 10, 42)
 		})
-		bench.SetParallel(0) // leave the package at its default
 
 		interrupted()
 
@@ -595,7 +600,7 @@ func serveCache(reps map[string]result) {
 	const job = `{"scenario":"fig9","params":{"procs":[2,16,64],"ops_each":8}}`
 	post := func() ([]byte, string, time.Duration) {
 		t0 := time.Now()
-		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(job))
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(job))
 		if err != nil {
 			fatal(err)
 		}

@@ -65,9 +65,6 @@ func main() {
 	shards := flag.Int("shards", 0,
 		"lane workers inside each simulation (execution knob only: never part "+
 			"of a job's cache identity)")
-	laneGroup := flag.Int("lane-group", 0,
-		"lanes per worker dispatch chunk (0 = auto; execution knob only, "+
-			"never part of a job's cache identity)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
 	logRequests := flag.Bool("log", false, "log one structured line per request to stderr")
 	debugAddr := flag.String("debug-addr", "", "listen address for net/http/pprof (empty = disabled)")
@@ -84,7 +81,6 @@ func main() {
 		CacheBytes:   *cacheMB << 20,
 		SweepWorkers: *sweepWorkers,
 		Shards:       *shards,
-		LaneGroup:    *laneGroup,
 		StoreDir:     *storeDir,
 		Self:         *self,
 		PeerTimeout:  *peerTimeout,

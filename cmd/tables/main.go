@@ -20,8 +20,6 @@ func main() {
 		"sweep worker count (1 = serial); output is byte-identical at any value")
 	flag.Parse()
 
-	bench.SetParallel(*parallel)
-
 	g := bench.TableII()
 	if *csv {
 		g.RenderCSV(os.Stdout)

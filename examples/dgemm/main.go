@@ -14,13 +14,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 )
 
 // spec mirrors the original standalone example: a 48x48 multiply in
@@ -49,8 +50,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dgemm:", err)
 		os.Exit(1)
 	}
-	ctx, eng := bench.Harness()
-	res, err := scenario.Run(ctx, eng, sp)
+	res, err := scenario.Run(context.Background(), sweep.New(0, nil), sp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dgemm:", err)
 		os.Exit(1)

@@ -12,13 +12,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 )
 
 // spec mirrors the original standalone example: a 4x2 process grid of
@@ -47,8 +48,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "halo:", err)
 		os.Exit(1)
 	}
-	ctx, eng := bench.Harness()
-	res, err := scenario.Run(ctx, eng, sp)
+	res, err := scenario.Run(context.Background(), sweep.New(0, nil), sp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "halo:", err)
 		os.Exit(1)

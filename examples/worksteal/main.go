@@ -11,13 +11,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 )
 
 // spec mirrors the original standalone example: 256 skewed tasks over
@@ -46,8 +47,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "worksteal:", err)
 		os.Exit(1)
 	}
-	ctx, eng := bench.Harness()
-	res, err := scenario.Run(ctx, eng, sp)
+	res, err := scenario.Run(context.Background(), sweep.New(0, nil), sp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "worksteal:", err)
 		os.Exit(1)

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files from the current code")
@@ -63,6 +65,12 @@ func goldenScenarioSharded(shards int, reg *obs.Registry) *armci.World {
 	return w
 }
 
+// bg and newEngine are what a driver with no flags set runs on: no
+// cancellation, GOMAXPROCS sweep workers, no registry.
+var bg = context.Background()
+
+func newEngine() *sweep.Engine { return sweep.New(0, nil) }
+
 func csvHash(g *bench.Grid) string {
 	var sb strings.Builder
 	g.RenderCSV(&sb)
@@ -75,8 +83,8 @@ func TestDeterminismGolden(t *testing.T) {
 	got := determinismGolden{
 		ScenarioEvents: events,
 		ScenarioFinal:  int64(final),
-		Fig3CSVSHA256:  csvHash(bench.Fig3([]int{16, 256, 4096}, 3)),
-		Fig9CSVSHA256:  csvHash(bench.Fig9([]int{8, 16}, 4)),
+		Fig3CSVSHA256:  csvHash(bench.Fig3(bg, newEngine(), []int{16, 256, 4096}, 3)),
+		Fig9CSVSHA256:  csvHash(bench.Fig9(bg, newEngine(), []int{8, 16}, 4)),
 	}
 
 	path := filepath.Join("testdata", "determinism_golden.json")

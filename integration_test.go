@@ -99,7 +99,7 @@ func TestIntegrationFig7PaperScale(t *testing.T) {
 	}
 	// The real Fig 7 configuration: 2048 processes on 128 nodes. The odd
 	// stride samples every node residue class, including the antipode.
-	g := bench.Fig7(2048, 16, 2, 31)
+	g := bench.Fig7(bg, newEngine(), 2048, 16, 2, 31)
 	lat := g.Column("latency_us")
 	hops := g.Column("hops")
 	var minL, maxL = 1e9, 0.0

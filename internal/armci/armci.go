@@ -80,8 +80,9 @@ type Config struct {
 	//
 	//	 0  lane-partitioned engine, 1 worker (the default);
 	//	 N  lane-partitioned engine, min(N, nodes) workers;
-	//	-1  the legacy single-queue engine (no lanes), kept as an
-	//	    escape hatch and as the reference for equivalence tests.
+	//	-1  the legacy single-queue engine (no lanes): a test
+	//	    reference only (TestLegacyEngineEquivalence); no driver
+	//	    flag or serve option selects it.
 	//
 	// Worker count can never change a simulated byte — only wall-clock
 	// time. The legacy engine orders some concurrent events differently
@@ -94,12 +95,15 @@ type Config struct {
 	// the two, so the choice is canonical and, like Shards itself, never
 	// enters content-addressed job keys. Horizons and boundary order stay
 	// per-lane regardless, so the grouping cannot change a simulated
-	// byte. Ignored by the legacy engine (Shards == -1).
+	// byte. Ignored by the legacy engine (Shards == -1). Drivers always
+	// run the auto choice; explicit values are for the shard × lane-group
+	// invariance tests.
 	LaneGroup int
 	// SerialBoundary forces window-boundary deposits to be inserted
 	// serially on the coordinator goroutine instead of staged and applied
 	// on the worker pool — the oracle path equivalence tests pin the
-	// parallel boundary against. Execution-only; no effect on results.
+	// parallel boundary against. Test-only: no driver sets it.
+	// Execution-only; no effect on results.
 	SerialBoundary bool
 	// Seed perturbs the deterministic jitter streams.
 	Seed uint64

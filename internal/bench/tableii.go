@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/armci"
@@ -62,18 +63,22 @@ func TableII() *Grid {
 // of Eq. 8) and strictly dominate RDMA.
 //
 // The two protocol variants are independent simulations and run as two
-// sweep tasks; columns are keyed by variant index.
-func EqValidation(sizes []int, iters int) *Grid {
+// sweep tasks; columns are keyed by variant index. Nil when ctx was
+// cancelled before both ran.
+func EqValidation(ctx context.Context, eng *sweep.Engine, sizes []int, iters int) *Grid {
 	g := &Grid{Title: "Eq 7/8: RDMA get vs fallback get (measured, us)",
 		Header: []string{"bytes", "rdma_us", "fallback_us", "ratio"}}
 
-	cols := mapN(2, func(c *sweep.Ctx, i int) []float64 {
+	cols := sweep.MapCtx(eng, ctx, 2, func(c *sweep.Ctx, i int) []float64 {
 		if i == 0 {
 			return measureRDMA(c, sizes, iters)
 		}
 		return measureFallback(c, sizes, iters)
 	})
 	rdma, fallback := cols[0], cols[1]
+	if rdma == nil || fallback == nil {
+		return nil
+	}
 	for i, m := range sizes {
 		g.AddF(3, float64(m), rdma[i], fallback[i], fallback[i]/rdma[i])
 	}

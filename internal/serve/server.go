@@ -42,15 +42,11 @@ type Options struct {
 	SweepWorkers int
 	// Shards is the intra-run lane worker count each engine applies to
 	// the simulations it executes (armci.Config.Shards; default 0, the
-	// single-worker lane engine). Execution-side only: shard count is
-	// not part of a job's identity, so it never changes which cache
-	// entry a config maps to nor the bytes that entry holds.
+	// single-worker lane engine; negative is rejected). Execution-side
+	// only: shard count is not part of a job's identity, so it never
+	// changes which cache entry a config maps to nor the bytes that
+	// entry holds.
 	Shards int
-	// LaneGroup is the lane-execution grain each engine applies
-	// (armci.Config.LaneGroup; default 0, the canonical auto choice).
-	// Execution-side only, exactly like Shards: never part of a job's
-	// identity or its cached bytes.
-	LaneGroup int
 	// JobTimeout aborts a single job's execution (default 2 minutes).
 	JobTimeout time.Duration
 	// RunHistory bounds retained run records, live plus finished
@@ -220,6 +216,9 @@ func New(opts Options) *Server {
 // says "starting" until done); with Peers set it participates in the
 // consistent-hash cluster.
 func NewServer(opts Options) (*Server, error) {
+	if opts.Shards < 0 {
+		return nil, fmt.Errorf("serve: Shards must be >= 0, got %d", opts.Shards)
+	}
 	opts = opts.withDefaults()
 	base, stop := context.WithCancel(context.Background())
 	s := &Server{
@@ -237,9 +236,7 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	s.runs = newRunRegistry(opts.RunHistory, s.cache)
 	for i := 0; i < opts.Workers; i++ {
-		e := sweep.NewSharded(opts.SweepWorkers, opts.Shards, nil)
-		e.SetLaneGroup(opts.LaneGroup)
-		s.engines <- e
+		s.engines <- sweep.NewSharded(opts.SweepWorkers, opts.Shards, nil)
 	}
 	if opts.StoreDir != "" {
 		st, err := OpenStore(opts.StoreDir)

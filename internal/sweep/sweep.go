@@ -53,6 +53,11 @@ func TuneGC() {
 // Ctx is what a sweep task runs with: the run's isolated registry, the
 // executing worker's recycling pool, and the engine's intra-run shard
 // budget. Attach all of them to a simulation through Cfg.
+//
+// The engine builds one per worker. Callers that must pin execution
+// knobs past CoreBudget — shard-scaling measurements and the lane-group
+// and boundary-oracle tests — pass a literal instead, e.g.
+// &sweep.Ctx{Shards: 4, Pool: armci.NewPool()}.
 type Ctx struct {
 	// Reg is this run's private registry (nil when the engine has no
 	// parent registry). It must not outlive the task: the engine merges
@@ -63,15 +68,17 @@ type Ctx struct {
 	Pool *armci.Pool
 	// Shards is the engine's per-run lane worker budget, forwarded to
 	// armci.Config.Shards (0 = default single-worker lane engine, -1 =
-	// the legacy single-queue engine). Purely an execution knob: shard
-	// count never changes a simulation's results.
+	// the legacy single-queue engine, a test reference). Purely an
+	// execution knob: shard count never changes a simulation's results.
 	Shards int
 	// LaneGroup is the engine's lane-execution grain, forwarded to
-	// armci.Config.LaneGroup (0 = auto from nodes and Shards). Execution
-	// knob only — results are invariant across settings.
+	// armci.Config.LaneGroup (0 = auto from nodes and Shards; only tests
+	// set another value). Execution knob only — results are invariant
+	// across settings.
 	LaneGroup int
 	// SerialBoundary forwards armci.Config.SerialBoundary: the serial
-	// boundary-deposit oracle for equivalence testing. Execution only.
+	// boundary-deposit oracle, set only by equivalence tests. Execution
+	// only.
 	SerialBoundary bool
 }
 
@@ -160,11 +167,13 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) Shards() int { return e.shards }
 
 // SetLaneGroup sets the lane-execution grain forwarded to every run
-// (armci.Config.LaneGroup; 0 = auto). Call before Map.
+// (armci.Config.LaneGroup; 0 = auto). A test hook for the lane-group
+// invariance matrix. Call before Map.
 func (e *Engine) SetLaneGroup(g int) { e.laneGroup = g }
 
 // SetSerialBoundary forwards the serial boundary-deposit oracle flag to
-// every run. Call before Map.
+// every run. A test hook for the boundary equivalence test. Call before
+// Map.
 func (e *Engine) SetSerialBoundary(b bool) { e.serialBnd = b }
 
 func (e *Engine) pool(w int) *armci.Pool {

@@ -90,9 +90,9 @@ func TestShardLaneGroupMatrix(t *testing.T) {
 // fetch-and-add workload: the measured mean latency is a pure function
 // of the simulation, so it must be bit-equal at every setting.
 func TestFig9LaneGroupMatrix(t *testing.T) {
-	base := bench.Fig9PointTuned(16, 4, true, false, 4, 1, 1, false)
+	base := bench.Fig9Point(&sweep.Ctx{Shards: 1, LaneGroup: 1, Pool: armci.NewPool()}, 16, 4, true, false, 4)
 	for _, mx := range laneMatrix {
-		got := bench.Fig9PointTuned(16, 4, true, false, 4, mx.shards, mx.group, false)
+		got := bench.Fig9Point(&sweep.Ctx{Shards: mx.shards, LaneGroup: mx.group, Pool: armci.NewPool()}, 16, 4, true, false, 4)
 		if got != base {
 			t.Errorf("fig9 shards=%d group=%d: latency %v, want %v",
 				mx.shards, mx.group, got, base)
@@ -105,12 +105,12 @@ func TestFig9LaneGroupMatrix(t *testing.T) {
 // identical at every shard × lane-group setting, because fault verdicts
 // are drawn in the serial boundary phase in canonical order.
 func TestChaosLaneGroupMatrix(t *testing.T) {
-	base := bench.ChaosRunTuned(8, 4, 10, 42, 1, 1, false)
+	base := bench.ChaosRun(&sweep.Ctx{Shards: 1, LaneGroup: 1, Pool: armci.NewPool()}, 8, 4, 10, 42)
 	if !base.Clean() {
 		t.Fatalf("chaos run corrupted data: %+v", base)
 	}
 	for _, mx := range laneMatrix {
-		r := bench.ChaosRunTuned(8, 4, 10, 42, mx.shards, mx.group, false)
+		r := bench.ChaosRun(&sweep.Ctx{Shards: mx.shards, LaneGroup: mx.group, Pool: armci.NewPool()}, 8, 4, 10, 42)
 		if r != base {
 			t.Errorf("chaos shards=%d group=%d diverged:\n got %+v\nwant %+v",
 				mx.shards, mx.group, r, base)
@@ -188,8 +188,8 @@ func TestBoundaryOracleEquivalence(t *testing.T) {
 			t.Errorf("shards=%d: trace bytes differ between boundary paths", shards)
 		}
 	}
-	oracle := bench.ChaosRunTuned(8, 4, 10, 42, 4, 1, true)
-	staged := bench.ChaosRunTuned(8, 4, 10, 42, 4, 1, false)
+	oracle := bench.ChaosRun(&sweep.Ctx{Shards: 4, LaneGroup: 1, SerialBoundary: true, Pool: armci.NewPool()}, 8, 4, 10, 42)
+	staged := bench.ChaosRun(&sweep.Ctx{Shards: 4, LaneGroup: 1, Pool: armci.NewPool()}, 8, 4, 10, 42)
 	if oracle != staged {
 		t.Errorf("chaos boundary paths diverged:\noracle %+v\nstaged %+v", oracle, staged)
 	}

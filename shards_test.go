@@ -5,9 +5,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/armci"
 	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // shardGoldenRun executes the golden workload at one lane worker count
@@ -57,12 +59,12 @@ func TestShardCountInvariance(t *testing.T) {
 // itself are identical at every shard count, because fault verdicts are
 // drawn in the serial boundary phase in deterministic order.
 func TestShardChaosInvariance(t *testing.T) {
-	base := bench.ChaosRunSharded(8, 4, 10, 42, 0)
+	base := bench.ChaosRun(&sweep.Ctx{Pool: armci.NewPool()}, 8, 4, 10, 42)
 	if !base.Clean() {
 		t.Fatalf("chaos run corrupted data: %+v", base)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		r := bench.ChaosRunSharded(8, 4, 10, 42, shards)
+		r := bench.ChaosRun(&sweep.Ctx{Shards: shards, Pool: armci.NewPool()}, 8, 4, 10, 42)
 		if r != base {
 			t.Errorf("shards=%d chaos result diverged:\n got %+v\nwant %+v", shards, r, base)
 		}
@@ -100,14 +102,13 @@ func TestLegacyEngineEquivalence(t *testing.T) {
 
 	// Figure bytes: the rendered CSVs must agree between engines (the
 	// simulated latencies are what the figures pin).
-	bench.SetShards(-1)
-	legacyFig3 := csvHash(bench.Fig3([]int{16, 256, 4096}, 3))
-	legacyFig9 := csvHash(bench.Fig9([]int{8, 16}, 4))
-	bench.SetShards(0)
-	if h := csvHash(bench.Fig3([]int{16, 256, 4096}, 3)); h != legacyFig3 {
+	legacyEng := sweep.NewSharded(0, -1, nil)
+	legacyFig3 := csvHash(bench.Fig3(bg, legacyEng, []int{16, 256, 4096}, 3))
+	legacyFig9 := csvHash(bench.Fig9(bg, legacyEng, []int{8, 16}, 4))
+	if h := csvHash(bench.Fig3(bg, newEngine(), []int{16, 256, 4096}, 3)); h != legacyFig3 {
 		t.Errorf("fig3 CSV differs between engines: legacy %s, laned %s", legacyFig3, h)
 	}
-	if h := csvHash(bench.Fig9([]int{8, 16}, 4)); h != legacyFig9 {
+	if h := csvHash(bench.Fig9(bg, newEngine(), []int{8, 16}, 4)); h != legacyFig9 {
 		t.Errorf("fig9 CSV differs between engines: legacy %s, laned %s", legacyFig9, h)
 	}
 
@@ -120,8 +121,8 @@ func TestLegacyEngineEquivalence(t *testing.T) {
 	// retired reply is silently absorbed. The integrity fields (Counter,
 	// AccSum, BadBlocks, OpErrors) and the fault totals must agree
 	// exactly.
-	cl := bench.ChaosRunSharded(8, 4, 10, 42, -1)
-	cn := bench.ChaosRunSharded(8, 4, 10, 42, 0)
+	cl := bench.ChaosRun(&sweep.Ctx{Shards: -1, Pool: armci.NewPool()}, 8, 4, 10, 42)
+	cn := bench.ChaosRun(&sweep.Ctx{Pool: armci.NewPool()}, 8, 4, 10, 42)
 	if !cl.Clean() || !cn.Clean() {
 		t.Errorf("chaos run corrupted data: legacy %+v, laned %+v", cl, cn)
 	}
@@ -141,7 +142,7 @@ func TestLegacyEngineEquivalence(t *testing.T) {
 // for whole-world parallelism.)
 func TestShardedRunRace(t *testing.T) {
 	wantE, wantF, _, _ := shardGoldenRun(t, 0)
-	wantChaos := bench.ChaosRunSharded(8, 4, 6, 42, 0)
+	wantChaos := bench.ChaosRun(&sweep.Ctx{Pool: armci.NewPool()}, 8, 4, 6, 42)
 
 	var wg sync.WaitGroup
 	var e uint64
@@ -155,7 +156,7 @@ func TestShardedRunRace(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		chaos = bench.ChaosRunSharded(8, 4, 6, 42, 4)
+		chaos = bench.ChaosRun(&sweep.Ctx{Shards: 4, Pool: armci.NewPool()}, 8, 4, 6, 42)
 	}()
 	wg.Wait()
 
