@@ -23,11 +23,15 @@ check:
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/fault/ ./...
 
-# Short fuzz gate: FuzzRegionCache (sparse region cache vs the dense
-# oracle) for 20 s, starting from the committed seed corpus in
-# internal/armci/testdata/fuzz/.
+# Short fuzz gate, 20 s per fuzzer, each starting from its committed
+# seed corpus under the package's testdata/fuzz/: FuzzRegionCache (sparse
+# region cache vs the dense oracle), then the append-based obs encoders
+# vs their fmt/encoding/json oracles (FuzzChromeEventLine: trace lines,
+# FuzzSnapshotJSON: metrics snapshots).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionCache$$' -fuzztime 20s ./internal/armci/
+	$(GO) test -run '^$$' -fuzz '^FuzzChromeEventLine$$' -fuzztime 20s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotJSON$$' -fuzztime 20s ./internal/obs/
 
 # Engine wall-clock benchmarks (the cost of simulating): micro benches
 # plus the reduced Fig 9 p=4096 / SCF scenarios, written to

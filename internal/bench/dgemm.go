@@ -148,6 +148,9 @@ func DgemmGrid(ctx context.Context, eng *sweep.Engine, sp DgemmSpec) *Grid {
 		}
 		return res
 	})
+	if ctx.Err() != nil {
+		return nil // cut short: a partial grid is never rendered
+	}
 	for pi, p := range sp.Procs {
 		row := []string{fmt.Sprint(p)}
 		verified := "yes"

@@ -141,6 +141,9 @@ func HaloGrid(ctx context.Context, eng *sweep.Engine, sp HaloSpec) *Grid {
 			timeUS:       sim.ToMicros(w.K.Now()),
 		}
 	})
+	if ctx.Err() != nil {
+		return nil // cut short: a partial grid is never rendered
+	}
 	for mi, async := range sp.Modes {
 		r := res[mi]
 		g.Add(ModeName(async), fmt.Sprint(sp.Iters), fmt.Sprintf("%.6f", r.residual),

@@ -3,7 +3,9 @@
 // typed spec (already validated by the pattern's schema), fans its
 // independent simulations across the sweep engine, and assembles rows
 // keyed by configuration index — so every grid is byte-identical at any
-// sweep-worker or lane-shard count.
+// sweep-worker or lane-shard count. A grid whose sweep was cut short
+// (ctx done before every point ran) is nil: points that never started
+// leave empty result slots, and a partial grid is never rendered.
 //
 // Unlike the fixed-figure runners, these accept a mode axis ({default,
 // async-thread} column sets) and an optional fault-plan factory: the
@@ -127,6 +129,9 @@ func PingGrid(ctx context.Context, eng *sweep.Engine, sp PingSpec) *Grid {
 		r.errs = opErrs[0] + opErrs[1]
 		return r
 	})
+	if ctx.Err() != nil {
+		return nil // cut short: a partial grid is never rendered
+	}
 	for si, m := range sp.Sizes {
 		row := []float64{float64(m)}
 		for mi := range sp.Modes {
@@ -243,6 +248,9 @@ func FetchAddGrid(ctx context.Context, eng *sweep.Engine, sp FetchAddSpec) *Grid
 		}
 		return cell{us: sim.ToMicros(total) / float64((procs-1)*sp.OpsEach), errs: errs}
 	})
+	if ctx.Err() != nil {
+		return nil // cut short: a partial grid is never rendered
+	}
 	for pi, p := range sp.Procs {
 		row := []string{fmt.Sprint(p)}
 		for mi := 0; mi < nm; mi++ {

@@ -92,6 +92,9 @@ func WorkStealGrid(ctx context.Context, eng *sweep.Engine, sp WorkStealSpec) *Gr
 			float64(procs*((sp.Tasks+procs-1)/procs+1))
 		return r
 	})
+	if ctx.Err() != nil {
+		return nil // cut short: a partial grid is never rendered
+	}
 	for pi, p := range sp.Procs {
 		row := []string{fmt.Sprint(p)}
 		for mi := 0; mi < nm; mi++ {

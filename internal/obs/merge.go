@@ -1,6 +1,6 @@
 package obs
 
-import "sort"
+import "slices"
 
 // NewChild returns an empty registry configured like r (same trace track
 // capacity), for a run that records in isolation and is later folded back
@@ -24,10 +24,10 @@ func (r *Registry) NewChild() *Registry {
 //     later Merge call, i.e. the later run, wins);
 //   - histograms with identical bounds combine bucket-wise (differing
 //     bounds for the same name are a programming error and panic);
-//   - trace records are replayed through the normal recording path in
-//     their original order, so ring eviction and sequence numbering end
-//     up exactly as a serial recording would have left them. Track
-//     totals account for records other had already evicted.
+//   - trace records are replayed track by track in their original
+//     order, renumbered after r's own, so ring eviction and sequence
+//     numbering end up exactly as a serial recording would have left
+//     them. Track totals account for records other had already evicted.
 //
 // other is left untouched and both registries must share a track
 // capacity. Merge into or from a nil registry is a no-op.
@@ -72,29 +72,27 @@ func (r *Registry) Merge(other *Registry) {
 		mine.n += h.n
 	}
 
-	// Replay other's retained trace records in recording order (their seq
-	// order, across all tracks). record() reassigns r's own sequence
-	// numbers, preserving the relative order — which is all the exporters'
-	// tie-breaks ever consult.
-	type keyedRec struct {
-		key trackKey
-		rec spanRec
-	}
-	var recs []keyedRec
+	// Replay other's retained trace records in recording order. A record
+	// keeps its place in other's sequence, offset past everything r
+	// recorded so far — the numbers a serial recording would have
+	// assigned, since other.seq counts evicted records too — so the
+	// exporters' (time, seq) tie-breaks see the serial order without a
+	// sort. Each track replays its ring oldest first, so ring eviction
+	// ends as a serial recording would have left it, and its total
+	// accounts for the records other had already evicted.
+	base := r.seq
 	for key, t := range other.tracks {
-		for _, rec := range t.ring {
-			recs = append(recs, keyedRec{key: key, rec: rec})
+		mine := r.trackFor(key.kind, key.id)
+		if room := r.trackCap - len(mine.ring); room > 0 {
+			mine.ring = slices.Grow(mine.ring, min(room, len(t.ring)))
 		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].rec.seq < recs[j].rec.seq })
-	for _, kr := range recs {
-		r.record(kr.key.kind, kr.key.id, kr.rec)
-	}
-	for key, t := range other.tracks {
-		if evicted := t.total - uint64(len(t.ring)); evicted > 0 {
-			// The replay above created r.tracks[key]: a track with evictions
-			// necessarily has a full (non-empty) ring.
-			r.tracks[key].total += evicted
+		for _, part := range [2][]spanRec{t.ring[t.head:], t.ring[:t.head]} {
+			for _, rec := range part {
+				rec.seq += base
+				mine.push(rec, r.trackCap)
+			}
 		}
+		mine.total += t.total - uint64(len(t.ring))
 	}
+	r.seq += other.seq
 }

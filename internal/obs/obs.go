@@ -41,6 +41,10 @@ type Registry struct {
 	tracks   map[trackKey]*track
 	trackCap int
 	seq      uint64
+
+	// last caches the most recently recorded-to track (see trackFor).
+	last    *track
+	lastKey trackKey
 }
 
 // Option configures a Registry.

@@ -1,10 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // SnapshotJSON writes the registry's full metric state as one compact
@@ -20,62 +19,73 @@ import (
 // byte-identical snapshots. The single-line shape is what lets the
 // serving layer embed a snapshot verbatim as one SSE `metrics` event.
 //
+// The cost is O(metrics): every call encodes every metric into one
+// buffer, handed to w in a single Write.
+//
 // Like the other exporters, SnapshotJSON does not lock: callers sharing
 // the registry across goroutines serialize access themselves. A nil
 // registry writes an empty (but valid) snapshot.
 func (r *Registry) SnapshotJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString(`{"counters":{`)
-	if r != nil {
-		names := make([]string, 0, len(r.counters))
-		for name := range r.counters {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for i, name := range names {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%s:%d", jstr(name), r.counters[name].v)
-		}
+	if r == nil {
+		_, err := io.WriteString(w, `{"counters":{},"gauges":{},"histograms":{}}`)
+		return err
 	}
-	b.WriteString(`},"gauges":{`)
-	if r != nil {
-		names := make([]string, 0, len(r.gauges))
-		for name := range r.gauges {
-			names = append(names, name)
+	b := make([]byte, 0, 64*(len(r.counters)+len(r.gauges))+512*len(r.hists)+64)
+	b = append(b, `{"counters":{`...)
+	for i, name := range sortedNames(r.counters) {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		sort.Strings(names)
-		for i, name := range names {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%s:%d", jstr(name), r.gauges[name].v)
-		}
+		b = appendJSONString(b, name)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, r.counters[name].v, 10)
 	}
-	b.WriteString(`},"histograms":{`)
-	if r != nil {
-		names := make([]string, 0, len(r.hists))
-		for name := range r.hists {
-			names = append(names, name)
+	b = append(b, `},"gauges":{`...)
+	for i, name := range sortedNames(r.gauges) {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		sort.Strings(names)
-		for i, name := range names {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			h := r.hists[name]
-			fmt.Fprintf(&b, `%s:{"count":%d,"sum":%d,"buckets":[`, jstr(name), h.n, h.sum)
-			for j, bound := range h.bounds {
-				if j > 0 {
-					b.WriteByte(',')
-				}
-				fmt.Fprintf(&b, "[%d,%d]", bound, h.counts[j])
-			}
-			fmt.Fprintf(&b, `],"overflow":%d}`, h.counts[len(h.bounds)])
-		}
+		b = appendJSONString(b, name)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, r.gauges[name].v, 10)
 	}
-	b.WriteString("}}")
-	_, err := io.WriteString(w, b.String())
+	b = append(b, `},"histograms":{`...)
+	for i, name := range sortedNames(r.hists) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		h := r.hists[name]
+		b = appendJSONString(b, name)
+		b = append(b, `:{"count":`...)
+		b = strconv.AppendUint(b, h.n, 10)
+		b = append(b, `,"sum":`...)
+		b = strconv.AppendInt(b, h.sum, 10)
+		b = append(b, `,"buckets":[`...)
+		for j, bound := range h.bounds {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, '[')
+			b = strconv.AppendInt(b, bound, 10)
+			b = append(b, ',')
+			b = strconv.AppendUint(b, h.counts[j], 10)
+			b = append(b, ']')
+		}
+		b = append(b, `],"overflow":`...)
+		b = strconv.AppendUint(b, h.counts[len(h.bounds)], 10)
+		b = append(b, '}')
+	}
+	b = append(b, "}}"...)
+	_, err := w.Write(b)
 	return err
+}
+
+// sortedNames returns m's keys in ascending order.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }

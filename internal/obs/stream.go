@@ -1,23 +1,21 @@
 package obs
 
-import "sort"
-
 // TraceStreamer converts a sequence of registries — typically the
 // per-point child registries a sweep delivers in submission order —
-// into an incremental Chrome trace_event stream. Each Emit call returns
-// single-line JSON objects (the same encoding WriteChromeTrace uses)
-// for every record retained in reg, preceded by process_name /
-// thread_name metadata lines the first time a track kind or track
-// appears. pid/tid assignment is stable across calls: a track keeps its
-// tid for the streamer's lifetime, so a client concatenating
+// into an incremental Chrome trace_event stream. Each AppendLines call
+// contributes single-line JSON objects (the same encoding
+// WriteChromeTrace uses) for every record retained in reg, preceded by
+// process_name / thread_name metadata lines the first time a track kind
+// or track appears. pid/tid assignment is stable across calls: a track
+// keeps its tid for the streamer's lifetime, so a client concatenating
 //
-//	"[" + join(all emitted lines, ",") + "]"
+//	"[" + join(all lines, ",") + "]"
 //
 // gets a valid trace_event JSON array loadable in Perfetto (Perfetto
 // also accepts the unterminated array, which is what makes live piping
 // work).
 //
-// Determinism: within one Emit, new tracks are discovered in sorted
+// Determinism: within one call, new tracks are discovered in sorted
 // (kind, id) order and records are emitted in (start time, record
 // order) order — so feeding the same registries in the same order
 // always yields the same lines, which is what lets the serving layer's
@@ -34,90 +32,62 @@ func NewTraceStreamer() *TraceStreamer {
 	return &TraceStreamer{tids: make(map[trackKey]int)}
 }
 
-// pid mirrors WriteChromeTrace's kind → process assignment.
-func streamPid(k TrackKind) int { return int(k) + 1 }
-
-// Emit returns the trace_event lines for every record retained in reg,
-// assigning stable pids/tids and prepending metadata lines for tracks
-// and kinds seen for the first time. A nil or trace-empty registry
-// yields nil.
-func (ts *TraceStreamer) Emit(reg *Registry) []string {
+// AppendLines appends to b, comma-separated, at most limit of the
+// trace_event lines reg contributes to the stream: metadata lines for
+// kinds and tracks seen for the first time, then every retained record.
+// It returns the extended buffer, the number of lines appended, and the
+// number reg contributes in all; lines past limit are counted but never
+// encoded. Every new track gets its tid whether or not its metadata line
+// fits, so later calls stay consistent. A nil or trace-empty registry
+// contributes nothing.
+func (ts *TraceStreamer) AppendLines(b []byte, reg *Registry, limit int) (out []byte, n, total int) {
 	if reg == nil || len(reg.tracks) == 0 {
-		return nil
+		return b, 0, 0
 	}
-	keys := make([]trackKey, 0, len(reg.tracks))
-	for key := range reg.tracks {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].kind != keys[j].kind {
-			return keys[i].kind < keys[j].kind
+	keys := sortedTrackKeys(reg.tracks)
+	sep := func() {
+		if n > 0 {
+			b = append(b, ',')
 		}
-		return keys[i].id < keys[j].id
-	})
+		n++
+	}
 
-	var lines []string
-	for _, key := range keys {
-		if _, ok := ts.tids[key]; ok {
+	tids := make([]int, len(keys))
+	metas, records := 0, 0
+	for i, key := range keys {
+		records += len(reg.tracks[key].ring)
+		if tid, ok := ts.tids[key]; ok {
+			tids[i] = tid
 			continue
 		}
+		pid := tracePid(key.kind)
 		if !ts.kindSeen[key.kind] {
 			ts.kindSeen[key.kind] = true
-			lines = append(lines, chromeMetaLine(streamPid(key.kind), 0, "process_name", key.kind.String()))
+			if metas++; n < limit {
+				sep()
+				b = appendChromeMeta(b, pid, 0, "process_name", key.kind.String())
+			}
 		}
 		tid := ts.next[key.kind]
 		ts.next[key.kind]++
 		ts.tids[key] = tid
-		lines = append(lines, chromeMetaLine(streamPid(key.kind), tid, "thread_name", key.id))
-	}
-
-	type flatEvent struct {
-		rec      spanRec
-		pid, tid int
-	}
-	var evs []flatEvent
-	for _, key := range keys {
-		for _, rec := range reg.tracks[key].ring {
-			evs = append(evs, flatEvent{rec: rec, pid: streamPid(key.kind), tid: ts.tids[key]})
+		tids[i] = tid
+		if metas++; n < limit {
+			sep()
+			b = appendChromeMeta(b, pid, tid, "thread_name", key.id)
 		}
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].rec.start != evs[j].rec.start {
-			return evs[i].rec.start < evs[j].rec.start
+
+	if room := limit - n; room > 0 && records > 0 {
+		evs := make([]flatRec, 0, records)
+		for i, key := range keys {
+			evs = appendFlat(evs, reg.tracks[key], tracePid(key.kind), tids[i])
 		}
-		return evs[i].rec.seq < evs[j].rec.seq
-	})
-	for _, e := range evs {
-		lines = append(lines, chromeEventLine(e.rec, e.pid, e.tid))
+		sortByTime(evs)
+		for _, e := range evs[:min(room, len(evs))] {
+			sep()
+			b = appendChromeEvent(b, e.rec, e.pid, e.tid)
+		}
 	}
-	return lines
-}
-
-// chromeMetaLine encodes a process_name/thread_name metadata event.
-func chromeMetaLine(pid, tid int, kind, name string) string {
-	return `{"ph":"M","pid":` + itoa(pid) + `,"tid":` + itoa(tid) +
-		`,"name":` + jstr(kind) + `,"args":{"name":` + jstr(name) + `}}`
-}
-
-// itoa avoids pulling fmt into the hot path for two small ints.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return b, n, metas + records
 }

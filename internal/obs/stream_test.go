@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -88,6 +89,33 @@ func TestSnapshotJSONNilAndEmpty(t *testing.T) {
 	}
 }
 
+// emitAll returns every trace_event line reg contributes to ts's stream.
+func emitAll(t *testing.T, ts *TraceStreamer, reg *Registry) []string {
+	t.Helper()
+	b, n, total := ts.AppendLines(nil, reg, math.MaxInt)
+	if n != total {
+		t.Fatalf("unlimited AppendLines appended %d of %d lines", n, total)
+	}
+	if n == 0 {
+		if len(b) != 0 {
+			t.Fatalf("no lines but %d bytes appended", len(b))
+		}
+		return nil
+	}
+	var raw []json.RawMessage
+	if err := json.Unmarshal(append(append([]byte{'['}, b...), ']'), &raw); err != nil {
+		t.Fatalf("appended lines are not a JSON array body: %v\n%s", err, b)
+	}
+	if len(raw) != n {
+		t.Fatalf("AppendLines reported %d lines, buffer holds %d", n, len(raw))
+	}
+	lines := make([]string, len(raw))
+	for i, r := range raw {
+		lines[i] = string(r)
+	}
+	return lines
+}
+
 func TestTraceStreamerDeterministicAndStable(t *testing.T) {
 	mkRegs := func() []*Registry {
 		r1 := New(WithTrackCap(8))
@@ -102,7 +130,7 @@ func TestTraceStreamerDeterministicAndStable(t *testing.T) {
 		ts := NewTraceStreamer()
 		var all []string
 		for _, r := range mkRegs() {
-			all = append(all, ts.Emit(r)...)
+			all = append(all, emitAll(t, ts, r)...)
 		}
 		return all
 	}
@@ -172,7 +200,7 @@ func TestTraceStreamerMatchesWriteChromeTrace(t *testing.T) {
 		}
 	}
 	var fromStream []string
-	for _, line := range NewTraceStreamer().Emit(reg) {
+	for _, line := range emitAll(t, NewTraceStreamer(), reg) {
 		if !strings.HasPrefix(line, `{"ph":"M"`) {
 			fromStream = append(fromStream, line)
 		}
@@ -181,10 +209,10 @@ func TestTraceStreamerMatchesWriteChromeTrace(t *testing.T) {
 		t.Fatalf("streamer events diverge from WriteChromeTrace:\nwriter:\n%s\nstream:\n%s",
 			strings.Join(fromWriter, "\n"), strings.Join(fromStream, "\n"))
 	}
-	if NewTraceStreamer().Emit(nil) != nil {
+	if emitAll(t, NewTraceStreamer(), nil) != nil {
 		t.Fatal("nil registry should stream nothing")
 	}
-	if NewTraceStreamer().Emit(New()) != nil {
+	if emitAll(t, NewTraceStreamer(), New()) != nil {
 		t.Fatal("trace-empty registry should stream nothing")
 	}
 }

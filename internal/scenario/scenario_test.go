@@ -264,3 +264,22 @@ func TestPromotedPatternsRun(t *testing.T) {
 		t.Errorf("dgemm verification failed:\n%s", out)
 	}
 }
+
+// Every registered pattern's grid runner survives a sweep cut before any
+// point started: no panic on the empty per-point results, and Run
+// reports the context's error so nothing partial is rendered or cached.
+func TestPatternsPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, info := range Patterns() {
+		t.Run(info.Name, func(t *testing.T) {
+			sp := mustCanon(t, `{"phases":[{"pattern":"`+info.Name+`"}]}`)
+			if g := patterns[info.Name].run(ctx, sweep.New(1, nil), &sp.Phases[0]); g != nil {
+				t.Errorf("cancelled %s grid = %+v, want nil", info.Name, g)
+			}
+			if _, err := Run(ctx, sweep.New(1, nil), sp); !errors.Is(err, context.Canceled) {
+				t.Errorf("Run on a cancelled context: err = %v, want context.Canceled", err)
+			}
+		})
+	}
+}

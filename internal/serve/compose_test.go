@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // fastCompose is a two-phase composed spec (one promoted pattern, one
@@ -329,5 +330,16 @@ func TestScenariosCatalog(t *testing.T) {
 	}
 	if i := byName["fetchadd"]; !list[i].Axes["procs"] || !list[i].Axes["fault"] || list[i].Axes["sizes"] {
 		t.Errorf("fetchadd axes wrong: %v", list[i].Axes)
+	}
+}
+
+// A composed job whose sweep is cut by JobTimeout before its points run
+// answers 504, not a 500 from a grid indexing results that were never
+// produced.
+func TestComposeCutByJobTimeout(t *testing.T) {
+	_, ts := newTestServer(t, Options{JobTimeout: time.Nanosecond})
+	resp, body := postCompose(t, ts, `{"compose":{"phases":[{"pattern":"ping","params":{"iters":1}}]}}`)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("ping compose cut by JobTimeout: status %d, body %s; want 504", resp.StatusCode, body)
 	}
 }

@@ -24,7 +24,6 @@ package serve
 // the synchronous POST /run response serve the same bytes).
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
@@ -450,19 +449,15 @@ func newRunEmitter(run *Run, reg *obs.Registry, traceBudget int) *runEmitter {
 
 func (em *runEmitter) PointDone(i, n int, child *obs.Registry) {
 	em.run.notePoint(i, n)
-	var buf bytes.Buffer
-	em.reg.SnapshotJSON(&buf)
-	em.run.append("metrics", buf.String())
-	lines := em.ts.Emit(child)
-	kept := lines
-	if len(kept) > em.budget {
-		kept = kept[:em.budget]
+	var snap strings.Builder
+	em.reg.SnapshotJSON(&snap)
+	em.run.append("metrics", snap.String())
+	b, kept, total := em.ts.AppendLines([]byte{'['}, child, em.budget)
+	em.budget -= kept
+	if kept > 0 {
+		em.run.append("trace", string(append(b, ']')))
 	}
-	em.budget -= len(kept)
-	if len(kept) > 0 {
-		em.run.append("trace", "["+strings.Join(kept, ",")+"]")
-	}
-	if dropped := len(lines) - len(kept); dropped > 0 {
+	if dropped := total - kept; dropped > 0 {
 		em.run.append("dropped", fmt.Sprintf(`{"events":%d}`, dropped))
 	}
 }

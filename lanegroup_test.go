@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -137,7 +138,17 @@ func renderComposedTuned(t *testing.T, shards, laneGroup int, serialBoundary boo
 	if err != nil {
 		t.Fatal(err)
 	}
+	// CoreBudget caps shards at GOMAXPROCS; raise it for the test so the
+	// shards=4 rows run on 4 lane workers on any host. No root test runs
+	// in parallel, so the process-wide setting is safe to change.
+	if shards > runtime.GOMAXPROCS(0) {
+		prev := runtime.GOMAXPROCS(shards)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 	eng := sweep.NewSharded(1, shards, nil)
+	if eng.Shards() != shards {
+		t.Fatalf("engine runs %d lane workers, want %d", eng.Shards(), shards)
+	}
 	eng.SetLaneGroup(laneGroup)
 	eng.SetSerialBoundary(serialBoundary)
 	res, err := scenario.Run(context.Background(), eng, sp)
